@@ -17,10 +17,10 @@ entry points:
 4. **The plan cache** — repeated (even relabeled/isomorphic) queries
    are served by canonical fingerprint lookup + recipe replay instead
    of re-enumeration; optimize_many() uses it by default.
-5. **Persistence** — with OptimizerConfig(cache_path=...) the cache
-   survives the process: autosaved after each batch, auto-loaded on
-   the next start, so a restarted server's first repeated query is
-   already a cache hit.
+5. **Persistence** — with OptimizerConfig(cache_path="....sqlite") the
+   cache survives the process in a SQLite plan store: autosaved after
+   each batch, auto-loaded on the next start, so a restarted server's
+   first repeated query is already a cache hit.
 
 Run:  python examples/facade_tour.py
 """
@@ -141,20 +141,20 @@ def main() -> None:
     )
 
     # -- 5. persistence: surviving a process restart --------------------
-    # Same batch, but the cache lives at cache_path.  The first server
-    # boots cold, pays the one enumeration, and autosaves at the end of
-    # the batch.  The "restarted" server (a brand-new Optimizer, as
-    # after a kill -9 + reboot) auto-loads the file and serves its very
-    # first query by recipe replay.
+    # Same batch, but the cache lives in the plan store at cache_path.
+    # The first server boots cold, pays the one enumeration, and
+    # autosaves at the end of the batch.  The "restarted" server (a
+    # brand-new Optimizer, as after a kill -9 + reboot) auto-loads the
+    # store and serves its very first query by recipe replay.
     with tempfile.TemporaryDirectory() as tmp:
-        cache_path = os.path.join(tmp, "plan-cache.json")
+        cache_path = os.path.join(tmp, "plan-cache.sqlite")
         config = OptimizerConfig(cache="on", cache_path=cache_path)
 
         first_boot = Optimizer(config)
         start = time.perf_counter()
         first_boot.optimize_many(batch)              # cold + autosave
         cold_boot_ms = (time.perf_counter() - start) * 1000
-        size_kb = os.path.getsize(cache_path) / 1024
+        persisted = len(first_boot.plan_cache)
 
         restarted = Optimizer(config)                # simulated restart
         start = time.perf_counter()
@@ -164,7 +164,7 @@ def main() -> None:
         first_event = warm[0].stats.extra["plan_cache"]["event"]
         print()
         print("persistence across a simulated restart "
-              f"(cache file: {size_kb:.1f} KiB):")
+              f"(persisted entries: {persisted}):")
         print(f"  cold boot: {cold_boot_ms:7.1f} ms   "
               f"warm restart: {warm_boot_ms:7.1f} ms   "
               f"speedup {cold_boot_ms / warm_boot_ms:.1f}x")

@@ -16,7 +16,7 @@ every module under a ``cache/`` directory:
 
 The serving daemon (:mod:`repro.serving`) lives under the same
 contract: its wire protocol is length-prefixed JSON and its worker
-warm-ups ship ``dump_document`` snapshots / ``sync_since`` deltas, so
+warm-ups ship ``sync_since`` deltas, so
 ``serving/`` modules are covered too.  (The stdlib
 ``ProcessPoolExecutor`` pickles *internally* between parent and forked
 children — that is trusted same-machine IPC, not a file or socket

@@ -12,9 +12,9 @@ queries that always miss) against
   deltas; per-request latency is recorded client-side (p50/p99), and
 * the **baseline**: the same requests grouped into per-wave batches
   through ``optimize_many(executor="process")`` on one shared
-  optimizer — the pre-daemon serving story, which pays pool spawn and
-  a full snapshot warm-up for every batch that contains a miss (and
-  every wave does, by construction).
+  optimizer — the pre-daemon serving story, which pays pool spawn for
+  every batch that contains a miss (and every wave does, by
+  construction).
 
 The daemon must sustain >= ``--min-speedup`` (the PR gate: 3x) times
 the baseline's q/s.
@@ -157,8 +157,8 @@ def _warm_cache_file(directory: str, entries: int) -> "tuple[str, str]":
     warmer.optimize_many(
         [_chain_spec(5, 100.0, tag=i) for i in range(entries)]
     )
-    daemon_copy = f"{directory}/warm_daemon.json"
-    baseline_copy = f"{directory}/warm_baseline.json"
+    daemon_copy = f"{directory}/warm_daemon.sqlite"
+    baseline_copy = f"{directory}/warm_baseline.sqlite"
     warmer.save_cache(daemon_copy)
     shutil.copy(daemon_copy, baseline_copy)
     return daemon_copy, baseline_copy
@@ -232,12 +232,12 @@ def run_serving_phase(
 
     # -- baseline: the same requests as per-wave process batches.
     # Wave j bundles every client's j-th request; each wave holds at
-    # least one unique-stats miss, so each wave pays pool spawn plus a
-    # full-snapshot worker warm-up — exactly the per-batch serving
-    # story the daemon replaces.  The parent cache is shared across
-    # waves (same as the daemon), so the comparison isolates the pool
-    # lifecycle, not cache hits.  Autosave is off so the baseline is
-    # not additionally charged for per-batch disk writes.
+    # least one unique-stats miss, so each wave pays pool spawn —
+    # exactly the per-batch serving story the daemon replaces.  The
+    # parent cache is shared across waves (same as the daemon), so the
+    # comparison isolates the pool lifecycle, not cache hits.  Autosave
+    # is off so the baseline is not additionally charged for per-batch
+    # disk writes.
     baseline = Optimizer(OptimizerConfig(
         cache="on", cache_path=baseline_cache, cache_autosave=False,
     ))

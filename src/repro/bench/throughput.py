@@ -136,15 +136,12 @@ def run_restart(
     restart** — the process came back: the cache auto-loads and the
     very first query must already be a hit).
 
-    ``cache_path`` picks the persistence backend by file name (e.g.
-    ``plans.sqlite`` measures the incremental SQLite store instead of
-    the JSON document; only the basename is used — the file itself
-    lives in a scratch directory either way).
+    ``cache_path`` names the plan-store file (a ``.sqlite``/
+    ``.sqlite3``/``.db`` name; only the basename is used — the file
+    itself lives in a scratch directory either way).
     """
-    from ..cache.store import is_store_path
-
     filename = os.path.basename(cache_path) if cache_path else (
-        "plan-cache.json"
+        "plan-cache.sqlite"
     )
     bases = [base for _shape, base in default_suite(max_n)]
     batch = mixed_shapes_workload(bases, copies, seed=300)
@@ -177,7 +174,6 @@ def run_restart(
     return {
         "workload": "mixed-shapes-restart",
         "cache_file": filename,
-        "cache_backend": "store" if is_store_path(filename) else "document",
         "shapes": [base.description for base in bases],
         "n_queries": len(batch),
         "persisted_entries": persisted_entries,
@@ -361,9 +357,8 @@ def render_summary(document: dict) -> str:
         )
     restart = document.get("restart")
     if restart:
-        backend = restart.get("cache_backend")
         lines.append(
-            f"  restart{f' ({backend})' if backend else ''}: "
+            f"  restart: "
             f"cold={restart['cold_restart_qps']:>9} q/s  "
             f"warm={restart['warm_restart_qps']:>10} q/s  "
             f"speedup={restart['restart_speedup']:.1f}x  "
@@ -409,10 +404,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--cache-path", default=None,
-        help="cache file name for the restart phase; the extension picks "
-             "the backend (plans.sqlite = incremental SQLite store, "
-             "anything else = JSON document; default plan-cache.json). "
-             "The file lives in a scratch directory either way.",
+        help="plan-store file name (.sqlite/.sqlite3/.db) for the restart "
+             "phase (default plan-cache.sqlite); the file lives in a "
+             "scratch directory either way.",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=None,

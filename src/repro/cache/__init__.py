@@ -8,17 +8,12 @@ epoch-aware LRU (:mod:`repro.cache.plan_cache`) serves isomorphic
 repeats by replaying the recipe through the requesting query's own
 plan builder.
 
-Two process boundaries are first-class (:mod:`repro.cache.persist`):
-the cache serializes to a versioned on-disk document, so a restarted
-server starts warm (``OptimizerConfig(cache_path=...)``), and the same
-document format ships read-only warm-up snapshots to
-``optimize_many(executor="process")`` workers.  At production
-capacities the document's rewrite-everything shape gives way to the
-embedded SQLite store (:mod:`repro.cache.store`): WAL-mode,
-incremental per-mutation upserts, TTL/size-budget compaction, safe
-multi-process access — selected simply by a ``.sqlite`` cache path
-(:func:`~repro.cache.store.open_persister`), with the JSON document
-retained as the import/export interchange format.
+Persistence: the cache autosaves to the embedded SQLite store
+(:mod:`repro.cache.store`) — WAL-mode, incremental per-mutation
+upserts, TTL/size-budget compaction, safe multi-process access — so a
+restarted server starts warm (``OptimizerConfig(cache_path=
+"plans.sqlite")``).  The versioned JSON document
+(:mod:`repro.cache.persist`) is the export/import interchange format.
 
 The :class:`~repro.optimizer.Optimizer` pipeline wires these together;
 this package has no dependency on the facade and can be reused by
@@ -28,8 +23,6 @@ other serving layers (e.g. a future cross-process shared store).
 from .keys import KEY_VERSION, CacheKeyInfo, build_cache_key, structure_bucket
 from .persist import (
     CachePersistenceWarning,
-    DocumentPersister,
-    DocumentSync,
     dump_document,
     load,
     restore_document,
@@ -38,7 +31,7 @@ from .persist import (
 )
 from .plan_cache import DEFAULT_CAPACITY, CacheDelta, CacheEntry, PlanCache
 from .recipe import PlanRecipe, plan_recipe, replay_recipe
-from .store import PlanStore, StorePersister, is_store_path, open_persister
+from .store import PlanStore, is_store_path
 
 __all__ = [
     "KEY_VERSION",
@@ -46,8 +39,6 @@ __all__ = [
     "build_cache_key",
     "structure_bucket",
     "CachePersistenceWarning",
-    "DocumentPersister",
-    "DocumentSync",
     "dump_document",
     "load",
     "restore_document",
@@ -58,9 +49,7 @@ __all__ = [
     "CacheEntry",
     "PlanCache",
     "PlanStore",
-    "StorePersister",
     "is_store_path",
-    "open_persister",
     "PlanRecipe",
     "plan_recipe",
     "replay_recipe",

@@ -1,13 +1,16 @@
-"""On-disk persistence for the plan cache: warm restarts.
+"""The JSON plan document: export/import interchange for plan caches.
 
-A :class:`~repro.cache.plan_cache.PlanCache` dies with its process;
-this module serializes it so a restarted server serves its first
-repeated query as a cache hit.  The format is a JSON **document** (one
-object, human-inspectable) whose entry keys and recipes — nested
-tuples of ints, floats, and strings by construction — are stored as
-``repr`` strings and parsed back with :func:`ast.literal_eval`.  That
-round-trip is exact for the tuple grammar the cache uses and, unlike
-``pickle``, cannot execute code from a tampered or corrupt file.
+The autosave backend is the SQLite :class:`~repro.cache.store.
+PlanStore`; this module is how plans leave or enter it as one
+human-inspectable file — :meth:`~repro.optimizer.Optimizer.save_cache`
+to an ad-hoc path, :func:`save`/:func:`load`, and
+:meth:`~repro.cache.store.PlanStore.export_document`/
+:meth:`~repro.cache.store.PlanStore.import_document`.  Entry keys and
+recipes — nested tuples of ints, floats, and strings by construction —
+are stored as ``repr`` strings and parsed back with
+:func:`ast.literal_eval`.  That round-trip is exact for the tuple
+grammar the cache uses and, unlike ``pickle``, cannot execute code
+from a tampered or corrupt file.
 
 Versioning discipline (see ``docs/cache.md``):
 
@@ -28,13 +31,8 @@ cache is an accelerator; corruption must not take the server down.
 
 Thread-safety: :func:`dump_document` snapshots under the cache's own
 lock and :func:`save` writes atomically (temp file + ``os.replace``),
-so concurrent optimizer threads see either the old or the new file.
-Concurrent *writers* to one path last-write-win; give each server
-process its own ``cache_path`` if that matters.
-
-Pickle-safety: documents are plain dicts of JSON scalars, safe to ship
-through ``multiprocessing`` — the process-pool backend hands one to
-each worker as its read-only warm-up snapshot.
+so readers see either the old or the new file.  Concurrent *writers*
+to one path last-write-win.
 """
 
 from __future__ import annotations
@@ -44,12 +42,11 @@ import json
 import os
 import tempfile
 import warnings
-import weakref
 from typing import Any, Optional
 
 from ..core.identity import is_process_scoped
 from .keys import KEY_VERSION
-from .plan_cache import CacheEntry, PlanCache
+from .plan_cache import PlanCache
 
 #: magic marker distinguishing plan-cache files from arbitrary JSON
 FORMAT_NAME = "repro-plan-cache"
@@ -77,12 +74,8 @@ def dump_document(cache: PlanCache) -> dict:
     document-level ``epoch`` is the cache's current one, so a loader
     can tell which entries were already stale at save time.  The
     document also records the cache's ``mutations`` counter, captured
-    **atomically with** the entries
-    (:meth:`~repro.cache.plan_cache.PlanCache.snapshot_state`): a saver
-    that remembers ``document["mutations"]`` knows exactly which
-    content state it persisted, so change detection against
-    :meth:`~repro.cache.plan_cache.PlanCache.sync_since` cannot race a
-    concurrent ``store()`` or ``bump_epoch()``.
+    atomically with the entries
+    (:meth:`~repro.cache.plan_cache.PlanCache.snapshot_state`).
     """
     snapshot, epoch, mutations = cache.snapshot_state()
     entries = []
@@ -117,13 +110,12 @@ def save_document(document: dict, path: str) -> int:
     :mod:`repro.core.identity`) are excluded: their tokens mean
     nothing in another process lifetime, and a token-counter collision
     after a restart could serve a plan computed under a different cost
-    function or solver.  They keep working in-memory (and in forked
-    workers); they simply die with the process.
+    function or solver.  They keep working in-memory; they simply die
+    with the process.
 
-    Split from :func:`save` so callers that need the snapshot's
-    ``mutations`` stamp (autosave change detection) can dump once and
-    write exactly that state, instead of re-snapshotting inside the
-    writer.
+    Split from :func:`save` so documents that do not come from a live
+    cache (:meth:`~repro.cache.store.PlanStore.export_document`) can be
+    written too.
     """
     document = dict(document)
     document["entries"] = [
@@ -153,8 +145,7 @@ def save_document(document: dict, path: str) -> int:
 def save(cache: PlanCache, path: str) -> int:
     """Snapshot ``cache`` and atomically write it; return entry count.
 
-    Thin wrapper over :func:`dump_document` + :func:`save_document` for
-    callers that don't need the snapshot's ``mutations`` stamp.
+    Thin wrapper over :func:`dump_document` + :func:`save_document`.
     """
     return save_document(dump_document(cache), path)
 
@@ -162,23 +153,14 @@ def save(cache: PlanCache, path: str) -> int:
 # -- deserialization ---------------------------------------------------------
 
 
-def _parse_strict(
-    document: Any,
-    capacity: Optional[int],
-    allow_process_scoped: bool = False,
-) -> PlanCache:
+def _parse_strict(document: Any, capacity: Optional[int]) -> PlanCache:
     """Rebuild a cache from a document; raise ``ValueError`` on trouble.
 
     Per-entry problems (unparsable repr, wrong embedded key version,
     stale epoch stamp) skip the entry; document-level problems (wrong
     format marker, format version, or key version) reject the file.
-
-    ``allow_process_scoped`` distinguishes the two consumers: in-memory
-    snapshots restored *within* one process lifetime (the process-pool
-    warm-up; forked workers share the parent's nonce) keep
-    process-scoped keys, while on-disk loads drop them silently —
-    another lifetime's identity tokens can never match and must never
-    be probed.
+    Process-scoped keys are dropped silently: another lifetime's
+    identity tokens can never match and must never be probed.
     """
     if not isinstance(document, dict):
         raise ValueError("cache document is not a JSON object")
@@ -217,10 +199,10 @@ def _parse_strict(
             if raw["epoch"] != saved_epoch:
                 skipped += 1  # stale at save time: statistics moved on
                 continue
-            if not allow_process_scoped and is_process_scoped(raw["key"]):
-                # Another lifetime's identity tokens: unreachable by
-                # construction, dropped without a warning (save()
-                # filters them, so these only occur in foreign files).
+            if is_process_scoped(raw["key"]):
+                # Possibly another lifetime's identity tokens: dropped
+                # without a warning (save() filters them, so these only
+                # occur in foreign files or unsaved dump_document()s).
                 continue
             key = ast.literal_eval(raw["key"])
             recipe = ast.literal_eval(raw["recipe"])
@@ -247,169 +229,20 @@ def _parse_strict(
     return cache
 
 
-# -- incremental document maintenance ----------------------------------------
-
-
-class DocumentSync:
-    """Incrementally maintained :func:`dump_document` mirror.
-
-    :func:`dump_document` re-``repr``-serializes *every* entry on every
-    call — O(cache size) even when a batch added two plans.  This class
-    keeps the serialized per-entry dicts between saves and updates them
-    from :meth:`~repro.cache.plan_cache.PlanCache.sync_since` deltas,
-    so a save after a batch that stored k new entries serializes
-    exactly k entries (the ``serialized`` counter is the proof — tests
-    assert on it).  The membership snapshot that rides along on the
-    delta (``include_order=True``) reconciles LRU evictions, drops,
-    and epoch bumps, so the produced document is load-equivalent to a
-    fresh :func:`dump_document` of the same cache state: same
-    survivors, same order, same epoch — it merely omits entries a
-    loader would skip anyway (stale-epoch leftovers).
-
-    Not thread-safe on its own; the owning persister serializes calls
-    (the optimizer autosave runs at batch end, the daemon under its
-    request lock).
-    """
-
-    def __init__(self) -> None:
-        #: weakref to the mirrored cache — ``id()`` would alias a new
-        #: cache reusing a dead one's id and keep a stale cursor
-        self._cache_ref: "Optional[weakref.ref[PlanCache]]" = None
-        self._cursor = 0
-        self._epoch = 0
-        self._capacity = 0
-        self._serialized: "dict[Any, dict]" = {}
-        self._order: "tuple[Any, ...]" = ()
-        self._primed = False
-        #: entries ``repr``-serialized since construction — the O(k)
-        #: accounting the incremental-autosave tests assert on
-        self.serialized = 0
-
-    def update(self, cache: PlanCache) -> bool:
-        """Fold the cache's latest delta in; True when the doc changed.
-
-        A different cache object than last time resets the mirror (full
-        re-serialization on this call, deltas afterwards).  Returns
-        ``False`` — save skippable — only when *nothing* mutated since
-        the previous update and the mirror is already primed.
-        """
-        mirrored = (
-            self._cache_ref() if self._cache_ref is not None else None
-        )
-        if mirrored is not cache:
-            self._cache_ref = weakref.ref(cache)
-            self._cursor = 0
-            self._serialized.clear()
-            self._order = ()
-            self._primed = False
-        delta = cache.sync_since(self._cursor, include_order=True)
-        self._capacity = cache.capacity
-        if delta.empty and self._primed:
-            return False
-        for _mutation_id, key, recipe, structure, cost in delta.entries:
-            self._serialized[key] = {
-                "key": repr(key),
-                "recipe": repr(recipe),
-                "epoch": delta.epoch,
-                "structure": structure,
-                "cost": cost,
-            }
-            self.serialized += 1
-        # reconcile: drop what left the cache (LRU eviction, clear,
-        # invalidation) or went stale (epoch moved; a loader would skip
-        # it, and a later refresh re-ships it through the delta)
-        membership = set(delta.order or ())
-        self._serialized = {
-            key: entry
-            for key, entry in self._serialized.items()
-            if key in membership and entry["epoch"] == delta.epoch
-        }
-        self._order = tuple(
-            key for key in (delta.order or ()) if key in self._serialized
-        )
-        self._cursor = delta.now
-        self._epoch = delta.epoch
-        self._primed = True
-        return True
-
-    def document(self) -> dict:
-        """The maintained document (same shape as :func:`dump_document`)."""
-        return {
-            "format": FORMAT_NAME,
-            "format_version": FORMAT_VERSION,
-            "key_version": KEY_VERSION,
-            "epoch": self._epoch,
-            "mutations": self._cursor,
-            "capacity": self._capacity,
-            "entries": [self._serialized[key] for key in self._order],
-        }
-
-
-class DocumentPersister:
-    """JSON-document side of the persister facade (see
-    :func:`repro.cache.store.open_persister`).
-
-    Wraps :class:`DocumentSync` + :func:`save_document`: ``sync`` is a
-    no-op for a clean cache, serializes only the delta otherwise, and
-    always writes atomically.  ``load`` primes the mirror from the
-    just-loaded cache so a warm restart's first all-hits batch does not
-    rewrite an identical file.
-    """
-
-    kind = "document"
-
-    def __init__(self, path: str, capacity: Optional[int] = None) -> None:
-        self.path = path
-        self._capacity = capacity
-        self._sync = DocumentSync()
-
-    def load(self) -> PlanCache:
-        cache = load(self.path, capacity=self._capacity)
-        # prime: the loaded content IS the file content; serializing it
-        # once here (instead of on the first save) keeps every later
-        # save O(delta)
-        self._sync.update(cache)
-        return cache
-
-    def sync(self, cache: PlanCache, force: bool = False) -> int:
-        """Save changes since the last sync; entry count written (0 =
-        skipped clean)."""
-        changed = self._sync.update(cache)
-        if not changed and not force:
-            return 0
-        return save_document(self._sync.document(), self.path)
-
-    def close(self) -> None:
-        """Nothing to release (the JSON backend holds no handles)."""
-
-    def counters(self) -> dict:
-        """Backend counters in the same shape the store facade reports
-        (the serving daemon's ``stats`` op is backend-agnostic)."""
-        return {
-            "kind": self.kind,
-            "path": self.path,
-            "serialized": self.serialized,
-        }
-
-    @property
-    def serialized(self) -> int:
-        """Entries ``repr``-serialized so far (O(k) accounting)."""
-        return self._sync.serialized
-
-
 def restore_document(
     document: Any, capacity: Optional[int] = None
 ) -> PlanCache:
     """Lenient :func:`_parse_strict`: warn and return a cold cache.
 
-    The in-memory counterpart of :func:`load`, used for process-pool
-    warm-up snapshots (which skip the filesystem round-trip and —
-    staying within one process lifetime — keep process-scoped keys).
+    The in-memory counterpart of :func:`load`, for documents that did
+    not come from a file (e.g. :meth:`~repro.cache.store.PlanStore.
+    import_document`).  The same rules apply: process-scoped keys from
+    another lifetime are dropped.
     """
     try:
-        return _parse_strict(document, capacity, allow_process_scoped=True)
+        return _parse_strict(document, capacity)
     except ValueError as exc:
-        _warn(f"ignoring plan-cache snapshot: {exc}")
+        _warn(f"ignoring plan-cache document: {exc}")
         return PlanCache(capacity) if capacity else PlanCache()
 
 
@@ -424,10 +257,8 @@ def load(
         path: file written by :func:`save`.
         capacity: LRU capacity of the rebuilt cache (default: the
             capacity recorded in the file).
-        missing_ok: a nonexistent path is a silent cold start (the
-            normal first boot of a server with ``cache_path``
-            configured); with ``False`` it warns like any other
-            failure.
+        missing_ok: a nonexistent path is a silent cold start; with
+            ``False`` it warns like any other failure.
 
     Never raises on bad input: corrupt JSON, foreign files, stale
     ``format_version``/``key_version``, or unreadable entries produce

@@ -16,14 +16,12 @@ The counters are plain ints updated under the lock and read without it
 (reads may be momentarily out of date, never corrupt).
 
 Pickle-safety: a :class:`PlanCache` is **not** picklable — it owns a
-``threading.Lock``.  Cross-process transfer goes through
-:mod:`repro.cache.persist`: :func:`~repro.cache.persist.dump_document`
-produces a plain-dict snapshot (picklable and JSON-serializable) and
-:func:`~repro.cache.persist.restore_document` rebuilds a cache from
-it.  The *contents* — keys (nested tuples of ints/strings/floats) and
-recipes (nested int tuples) — are picklable by construction; that
-invariant is what the persistence layer's ``repr``/``literal_eval``
-round-trip relies on.
+``threading.Lock``.  Its *contents* — keys (nested tuples of
+ints/strings/floats) and recipes (nested int tuples) — cross process
+boundaries as :meth:`PlanCache.sync_since` deltas (serving workers,
+the SQLite store) or as the JSON document of
+:mod:`repro.cache.persist`; the persistence layer's
+``repr``/``literal_eval`` round-trip relies on that tuple grammar.
 
 Statistics epochs: callers that refresh their catalog statistics call
 :meth:`PlanCache.bump_epoch`.  Entries written under an older epoch
@@ -89,9 +87,9 @@ class CacheDelta:
     #: full key membership, LRU-first, captured under the same lock —
     #: only when the consumer asked for it
     #: (``sync_since(..., include_order=True)``).  Mirror consumers
-    #: (the incremental JSON document saver, the SQLite store's force
-    #: syncs) reconcile drops and LRU evictions against it; additive
-    #: consumers (worker warm-up, routine store autosaves) ignore it.
+    #: (the SQLite store's force syncs) reconcile drops and LRU
+    #: evictions against it; additive consumers (worker warm-up,
+    #: routine store autosaves) ignore it.
     order: "Optional[tuple[Any, ...]]" = None
 
     @property
@@ -112,7 +110,7 @@ class PlanCache:
     * ``evictions`` — entries dropped by the LRU bound;
     * ``stores`` — entries written (insert or refresh);
     * ``restored`` — entries bulk-inserted by the persistence layer
-      (:meth:`absorb` — disk loads and process-pool warm-ups);
+      (:meth:`absorb` — disk loads and serving-worker warm-ups);
     * ``canonical_fallbacks`` — lookups keyed through the
       budget-exhausted index-order fallback instead of a true
       canonical labeling (see :meth:`note_canonical_fallback`).
@@ -221,37 +219,22 @@ class PlanCache:
     def snapshot_entries(self) -> list[tuple[Any, CacheEntry]]:
         """Consistent copy of the entries, LRU-first.
 
-        Used by :mod:`repro.cache.persist` (on-disk serialization) and
-        by the process-pool warm-up snapshot.  Entry objects are
-        copied, so mutating the returned list never touches the live
-        cache; order is eviction order (least recently used first), so
-        replaying the list through :meth:`absorb` preserves LRU
-        priority.
+        Entry objects are copied, so mutating the returned list never
+        touches the live cache; order is eviction order (least recently
+        used first), so replaying the list through :meth:`absorb`
+        preserves LRU priority.
         """
-        with self._lock:
-            return [
-                (
-                    key,
-                    CacheEntry(
-                        recipe=entry.recipe,
-                        epoch=entry.epoch,
-                        structure=entry.structure,
-                        cost=entry.cost,
-                        mutation_id=entry.mutation_id,
-                    ),
-                )
-                for key, entry in self._entries.items()
-            ]
+        return self.snapshot_state()[0]
 
     def snapshot_state(self) -> "tuple[list[tuple[Any, CacheEntry]], int, int]":
         """``(entries, epoch, mutations)`` under ONE lock acquisition.
 
-        The persistence layer's change-detection contract needs the
-        mutation counter captured *atomically with* the entry snapshot:
-        reading them separately races a concurrent ``store()`` or
-        :meth:`bump_epoch` and can stamp a document with a counter that
-        does not match its content.  Entries are copies, LRU-first,
-        exactly as :meth:`snapshot_entries` returns them.
+        A document stamped with the mutation counter needs it captured
+        *atomically with* the entry snapshot: reading them separately
+        races a concurrent ``store()`` or :meth:`bump_epoch` and can
+        stamp a counter that does not match the content.  Entries are
+        copies, LRU-first, exactly as :meth:`snapshot_entries` returns
+        them.
         """
         with self._lock:
             entries = [
@@ -292,7 +275,7 @@ class PlanCache:
         ``include_order=True`` additionally captures the full key
         membership (LRU-first) in ``delta.order`` under the same lock,
         for *mirror* consumers that must also reconcile drops and LRU
-        evictions (the incremental JSON document saver).  Additive
+        evictions (the SQLite store's force syncs).  Additive
         consumers should leave it off: the membership tuple is O(cache
         size) to build, exactly the cost delta consumers exist to
         avoid.

@@ -1,10 +1,11 @@
 """Embedded SQLite plan store: incremental, bounded, crash-safe.
 
-The JSON document (:mod:`repro.cache.persist`) rewrites every entry on
-each autosave and retains everything the LRU holds — the wrong shape
-once a resident daemon serves production capacities.  This module
-replaces it as the default on-disk backend while keeping the document
-as the interchange format:
+The one autosave backend of the plan cache —
+``OptimizerConfig(cache_path="plans.sqlite")`` and the serving daemon
+both persist through it.  The JSON document (:mod:`repro.cache.
+persist`) is the export/import interchange format only
+(:meth:`PlanStore.export_document` / :meth:`PlanStore.
+import_document`):
 
 * **incremental writes** — :meth:`PlanStore.sync_from` consumes the
   same :meth:`~repro.cache.plan_cache.PlanCache.sync_since` mutation
@@ -33,12 +34,12 @@ store schema version; a mismatch on either degrades to a cold store.
 Process-scoped keys (:func:`~repro.core.identity.is_process_scoped`)
 are never written.
 
-Epoch semantics mirror the JSON document: the store keeps its own
-``epoch`` in ``meta`` and every entry row stamps the epoch it was
-fresh under.  When the attached cache's statistics epoch moves between
-syncs, the store epoch is bumped and older rows become stale —
+Epoch semantics: the store keeps its own ``epoch`` in ``meta`` and
+every entry row stamps the epoch it was fresh under.  When the
+attached cache's statistics epoch moves between syncs, the store epoch
+is bumped and older rows become stale —
 :meth:`PlanStore.load` only absorbs rows at the current store epoch,
-exactly like the document loader skips entries stale at save time.
+exactly like the JSON loader skips entries stale at save time.
 
 Routine syncs are **additive**: entries the cache dropped between
 syncs (LRU evictions, ``invalidate_structure``, replay-failure
@@ -52,12 +53,8 @@ where several processes *write* one store file should lean on the
 additive autosaves plus epochs/TTL instead: a force sync from one
 process drops rows its own cache never held.
 
-Format selection is by file extension: :func:`open_persister` returns
-a :class:`StorePersister` for ``.sqlite`` / ``.sqlite3`` / ``.db``
-paths and falls back to the JSON
-:class:`~repro.cache.persist.DocumentPersister` otherwise, so
-``OptimizerConfig(cache_path="plans.sqlite")`` is all it takes to
-switch backends.  See ``docs/store.md``.
+A ``cache_path`` must carry a store extension (:func:`is_store_path`);
+``OptimizerConfig`` rejects anything else.  See ``docs/store.md``.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ import threading
 import time
 import warnings
 import weakref
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from ..core.identity import is_process_scoped
 from . import persist
@@ -820,21 +817,17 @@ class PlanStore:
     def import_document(self, document: Any) -> int:
         """Merge a JSON document (``persist`` format) into the store.
 
-        The migration path from the legacy file format: entries are
-        validated by the document loader's rules (bad documents warn
-        and import nothing), then upserted at the *current* store epoch
-        in one transaction.  Returns the number of rows written.
+        The migration path from a JSON file: entries are validated by
+        the document loader's rules (bad documents warn and import
+        nothing, process-scoped keys are dropped), then upserted at the
+        *current* store epoch in one transaction.  Returns the number of
+        rows written.
         """
         cache = persist.restore_document(document)
-        snapshot = cache.snapshot_entries()
-        rows = []
-        for key, entry in snapshot:
-            key_repr = repr(key)
-            if is_process_scoped(key_repr):
-                continue
-            rows.append(
-                (key_repr, repr(entry.recipe), entry.structure, entry.cost)
-            )
+        rows = [
+            (repr(key), repr(entry.recipe), entry.structure, entry.cost)
+            for key, entry in cache.snapshot_entries()
+        ]
         with self._lock:
             if self._conn is None:
                 return 0
@@ -920,84 +913,3 @@ def _parse_row(
     if not isinstance(key, tuple) or not key or key[0] != KEY_VERSION:
         return None
     return key, recipe
-
-
-# -- persister facade ---------------------------------------------------------
-
-
-class StorePersister:
-    """The :class:`PlanStore`-backed side of the persister facade."""
-
-    kind = "store"
-
-    def __init__(
-        self,
-        path: str,
-        capacity: Optional[int] = None,
-        ttl: Optional[float] = None,
-        size_budget: Optional[int] = None,
-        compact_interval: Optional[float] = None,
-    ) -> None:
-        self.path = path
-        self.store = PlanStore(
-            path,
-            capacity=capacity,
-            ttl=ttl,
-            size_budget=size_budget,
-            compact_interval=compact_interval,
-        )
-
-    def load(self) -> PlanCache:
-        return self.store.load()
-
-    def sync(self, cache: PlanCache, force: bool = False) -> int:
-        return self.store.sync_from(cache, force=force)
-
-    def counters(self) -> dict:
-        """Store counters, tagged with the backend kind (``stats`` op)."""
-        counters = self.store.counters()
-        counters["kind"] = self.kind
-        return counters
-
-    def close(self) -> None:
-        self.store.close()
-
-
-#: what :func:`open_persister` returns — either backend, one interface
-CachePersister = Union[StorePersister, "persist.DocumentPersister"]
-
-
-def open_persister(
-    path: str,
-    capacity: Optional[int] = None,
-    ttl: Optional[float] = None,
-    size_budget: Optional[int] = None,
-    compact_interval: Optional[float] = None,
-) -> CachePersister:
-    """Open the persistence backend ``path`` selects.
-
-    ``.sqlite`` / ``.sqlite3`` / ``.db`` extensions get the
-    incremental :class:`PlanStore`; everything else keeps the JSON
-    document (:class:`~repro.cache.persist.DocumentPersister`), which
-    ignores the TTL/budget knobs with a warning since the document
-    format has no per-entry retention.
-
-    Both backends expose the same three calls — ``load()``,
-    ``sync(cache, force=False)`` and ``close()`` — and both key their
-    change detection off the cache's mutation cursor, so callers
-    (optimizer autosave, the serving daemon) are backend-agnostic.
-    """
-    if is_store_path(path):
-        return StorePersister(
-            path,
-            capacity=capacity,
-            ttl=ttl,
-            size_budget=size_budget,
-            compact_interval=compact_interval,
-        )
-    if ttl is not None or size_budget is not None:
-        _warn(
-            f"cache_ttl/cache_size_budget are ignored by the JSON "
-            f"document backend ({path!r}); use a .sqlite cache_path"
-        )
-    return persist.DocumentPersister(path, capacity=capacity)

@@ -48,9 +48,9 @@ process boundaries.  More importantly the *digest is deterministic
 across processes and interpreter restarts* (SHA-256 over a
 canonical encoding; no ``hash()`` randomization anywhere), which is
 what makes plan-cache keys meaningful in a file written by one process
-and read by another.  The plan-cache persistence layer
-(:mod:`repro.cache.persist`) and the process-pool warm-up snapshots
-load-bear on this guarantee.
+and read by another.  The plan store (:mod:`repro.cache.store`), the
+JSON interchange document (:mod:`repro.cache.persist`) and the
+serving workers' delta warm-ups load-bear on this guarantee.
 """
 
 from __future__ import annotations

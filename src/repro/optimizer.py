@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -56,8 +55,7 @@ from .cache import (
     structure_bucket,
 )
 from .cache import persist
-from .cache.persist import CachePersistenceWarning
-from .cache.store import PlanStore, is_store_path, open_persister
+from .cache.store import STORE_SUFFIXES, PlanStore, is_store_path
 from .core.dphyp import DPhyp, solve_dphyp
 from .core.hypergraph import (
     DisconnectedGraphError,
@@ -647,28 +645,30 @@ class OptimizerConfig:
         cache_size: LRU capacity of the optimizer-owned
             :class:`~repro.cache.plan_cache.PlanCache` (ignored when a
             shared cache is injected via ``Optimizer(plan_cache=...)``).
-        cache_path: persistence file for the plan cache.  When set,
-            the optimizer-owned cache is **auto-loaded** from this path
-            on first use (a missing file is a normal cold start) and
-            **auto-saved** back after every :meth:`Optimizer.
-            optimize_many` batch (see ``cache_autosave``), so a
-            restarted server serves its first repeated query as a
-            cache hit.  Corrupt or version-stale files degrade to a
-            cold cache with a :class:`~repro.cache.persist.
-            CachePersistenceWarning`, never an exception.
+        cache_path: SQLite plan-store file (``.sqlite``/``.sqlite3``/
+            ``.db``; any other extension raises ``ValueError`` — the
+            JSON document is an export/import format, not an autosave
+            backend).  When set, the optimizer-owned cache is
+            **auto-loaded** from the :class:`~repro.cache.store.
+            PlanStore` on first use (a missing file is a normal cold
+            start) and **auto-saved** back after every
+            :meth:`Optimizer.optimize_many` batch (see
+            ``cache_autosave``), so a restarted server serves its first
+            repeated query as a cache hit.  Corrupt or version-stale
+            files degrade to a cold cache with a
+            :class:`~repro.cache.persist.CachePersistenceWarning`,
+            never an exception.
         cache_autosave: autosave the cache to ``cache_path`` at the
             end of each ``optimize_many`` batch (default on; explicit
             :meth:`Optimizer.save_cache` always works).
-        cache_ttl: per-entry time-to-live in seconds for the SQLite
-            store backend — persisted entries expire this long after
-            their last write and are swept by compaction.  ``None``
-            (default) keeps entries until evicted by the size budget.
-            Ignored (with a warning) by the JSON document backend,
-            which has no per-entry retention.
-        cache_size_budget: on-disk size budget in bytes for the SQLite
-            store backend; when the store outgrows it, least recently
-            written entries are evicted first.  ``None`` (default) =
-            unbounded.  Ignored (with a warning) by the JSON backend.
+        cache_ttl: per-entry time-to-live in seconds for the plan
+            store — persisted entries expire this long after their last
+            write and are swept by compaction.  ``None`` (default)
+            keeps entries until evicted by the size budget.
+        cache_size_budget: on-disk size budget in bytes for the plan
+            store; when the store outgrows it, least recently written
+            entries are evicted first.  ``None`` (default) =
+            unbounded.
         cache_namespace: optional label folded into every cache key.
             Optimizers (or serving clients — see ``docs/serving.md``)
             with different namespaces never serve each other's entries
@@ -683,10 +683,10 @@ class OptimizerConfig:
         executor: default ``optimize_many`` backend — ``"thread"``
             (shared-memory, GIL-bound; fine for replay-dominated hot
             workloads) or ``"process"`` (a ``ProcessPoolExecutor``
-            sidesteps the GIL for enumeration-heavy batches; workers
-            are warmed from a snapshot of the shared cache and return
-            compact plan recipes that the parent replays — see
-            ``docs/cache.md``).
+            sidesteps the GIL for enumeration-heavy batches; stateless
+            workers compute one plan per distinct missing cache key
+            and return compact plan recipes that the parent replays —
+            see ``docs/cache.md``).
         pipeline: the five pipeline stage components; replace
             individual stages via
             ``PipelineStages(dispatch=MyDispatch())``.
@@ -758,6 +758,16 @@ class OptimizerConfig:
             )
         if self.cache_size < 1:
             raise ValueError("cache_size must be at least 1")
+        if self.cache_path is not None and not is_store_path(
+            self.cache_path
+        ):
+            raise ValueError(
+                f"cache_path {self.cache_path!r} is not a plan store; "
+                f"use a {'/'.join(STORE_SUFFIXES)} path.  JSON plan "
+                "documents are export/import only — migrate one with "
+                "PlanStore(store_path).import_document(document), where "
+                "document = json.load(open(json_path))"
+            )
         if self.cache_ttl is not None and self.cache_ttl <= 0:
             raise ValueError("cache_ttl must be None or > 0 seconds")
         if self.cache_size_budget is not None and self.cache_size_budget < 1:
@@ -950,56 +960,51 @@ class Optimizer:
         self.config = config
         self._plan_cache = plan_cache
         self._plan_cache_lock = threading.Lock()
-        #: lazily-opened persistence backend for ``cache_path`` —
-        #: SQLite :class:`~repro.cache.store.PlanStore` for ``.sqlite``
-        #: paths, the JSON document otherwise; both track the cache's
+        #: the :class:`~repro.cache.store.PlanStore` behind
+        #: ``cache_path``, opened on first use; it tracks the cache's
         #: mutation cursor so clean batches skip all I/O
-        self._cache_persister: Optional[Any] = None
+        self._store: Optional[PlanStore] = None
 
-    def _persister(self) -> Any:
-        """The ``cache_path`` backend, opened on first use.
+    def _open_store(self) -> PlanStore:
+        """The ``cache_path`` store; callers hold ``_plan_cache_lock``.
 
         Callers guarantee ``config.cache_path`` is set.  Also reached
         with an *injected* cache (``Optimizer(plan_cache=...)``), in
-        which case the backend attaches to it on the first sync
+        which case the store attaches to it on the first sync
         (cursor 0 = full first write, deltas afterwards).
         """
+        if self._store is None:
+            self._store = PlanStore(
+                self.config.cache_path,  # type: ignore[arg-type]
+                capacity=self.config.cache_size,
+                ttl=self.config.cache_ttl,
+                size_budget=self.config.cache_size_budget,
+            )
+        return self._store
+
+    def _sync_store(self, cache: PlanCache, force: bool = False) -> int:
         with self._plan_cache_lock:
-            if self._cache_persister is None:
-                self._cache_persister = open_persister(
-                    self.config.cache_path,  # type: ignore[arg-type]
-                    capacity=self.config.cache_size,
-                    ttl=self.config.cache_ttl,
-                    size_budget=self.config.cache_size_budget,
-                )
-            return self._cache_persister
+            store = self._open_store()
+        return store.sync_from(cache, force=force)
 
     @property
     def plan_cache(self) -> PlanCache:
         """This optimizer's plan cache (lazily created, injectable).
 
         With ``OptimizerConfig(cache_path=...)`` set, first access
-        auto-loads the persisted cache from disk — the warm-restart
-        path.  A missing file is a silent cold start; a corrupt or
-        version-stale file warns and starts cold.
+        auto-loads the persisted cache from the plan store — the
+        warm-restart path.  A missing file is a silent cold start; a
+        corrupt or version-stale file warns and starts cold.
         """
         if self._plan_cache is None:
             with self._plan_cache_lock:
                 if self._plan_cache is None:
-                    path = self.config.cache_path
-                    if path is not None:
-                        if self._cache_persister is None:
-                            self._cache_persister = open_persister(
-                                path,
-                                capacity=self.config.cache_size,
-                                ttl=self.config.cache_ttl,
-                                size_budget=self.config.cache_size_budget,
-                            )
-                        # load() attaches the cache to the backend:
-                        # the loaded content IS the persisted content,
-                        # so the first batch after a warm restart does
-                        # not rewrite an identical file
-                        self._plan_cache = self._cache_persister.load()
+                    if self.config.cache_path is not None:
+                        # load() attaches the cache to the store: the
+                        # loaded content IS the persisted content, so
+                        # the first batch after a warm restart does not
+                        # rewrite identical rows
+                        self._plan_cache = self._open_store().load()
                     else:
                         self._plan_cache = PlanCache(self.config.cache_size)
         return self._plan_cache
@@ -1008,11 +1013,13 @@ class Optimizer:
         """Persist the plan cache now; return the entry count written.
 
         ``path`` defaults to ``OptimizerConfig.cache_path``, in which
-        case the write goes through the incremental backend (only the
-        delta since the last save is serialized).  An ad-hoc ``path``
-        is a one-shot full export in whichever format its extension
-        selects.  Batches already autosave (``cache_autosave``); call
-        this for explicit checkpoints or ad-hoc paths.
+        case the write goes through the attached plan store (only the
+        delta since the last save is written, and rows the cache
+        dropped are reconciled away).  An ad-hoc ``path`` is a one-shot
+        full export: a plan store for ``.sqlite``/``.sqlite3``/``.db``
+        paths, the JSON interchange document otherwise.  Batches
+        already autosave (``cache_autosave``); call this for explicit
+        checkpoints or exports.
         """
         path = path if path is not None else self.config.cache_path
         if path is None:
@@ -1022,39 +1029,30 @@ class Optimizer:
             )
         cache = self.plan_cache
         if path == self.config.cache_path:
-            return self._persister().sync(cache, force=True)
+            return self._sync_store(cache, force=True)
         if is_store_path(path):
             with PlanStore(path, capacity=cache.capacity) as store:
                 return store.sync_from(cache, force=True)
-        return persist.save_document(persist.dump_document(cache), path)
+        return persist.save(cache, path)
 
     def _autosave(self, cache: Optional[PlanCache]) -> None:
-        """Best-effort batch-end autosave (never fails the batch).
+        """Batch-end autosave; never fails the batch (the store is
+        total: trouble degrades to a warning).
 
         Skipped entirely when the cache content has not changed since
         the last save — a fully-warm serving loop does pure lookups,
         which never bump ``PlanCache.mutations``, so steady state pays
-        no serialization or disk I/O.  A dirty cache persists only its
-        delta: both backends consume one atomic
-        :meth:`~repro.cache.plan_cache.PlanCache.sync_since` call, so
-        a batch that stored k new entries serializes O(k) entries (and
-        the SQLite store writes O(k) rows), never O(cache size).
+        no disk I/O.  A dirty cache persists only its delta: the store
+        consumes one atomic :meth:`~repro.cache.plan_cache.PlanCache.
+        sync_since` call, so a batch that stored k new entries writes
+        O(k) rows, never O(cache size).
         """
         if (
-            cache is None
-            or self.config.cache_path is None
-            or not self.config.cache_autosave
+            cache is not None
+            and self.config.cache_path is not None
+            and self.config.cache_autosave
         ):
-            return
-        try:
-            self._persister().sync(cache)
-        except OSError as exc:
-            warnings.warn(
-                f"plan-cache autosave to "
-                f"{self.config.cache_path!r} failed: {exc}",
-                CachePersistenceWarning,
-                stacklevel=3,
-            )
+            self._sync_store(cache)
 
     # -- public API ------------------------------------------------------
 
@@ -1162,17 +1160,24 @@ class Optimizer:
     ) -> list[OptimizationResult]:
         """The ``executor="process"`` backend of :meth:`optimize_many`.
 
-        Work units are the (picklable) queries themselves; each worker
-        process owns one Optimizer plus a process-local cache warmed
-        from a read-only snapshot of the parent's shared cache, and
-        returns the computed join order as an identity-space recipe.
-        The parent replays every recipe through the requesting query's
-        own builder — exact costs and names, and the *shared* cache is
-        populated once, by the parent, in deterministic input order.
-
-        Queries already present in the shared cache are served in the
+        Queries already fresh in the shared cache are served in the
         parent without touching the pool (a fully warm batch spawns no
-        processes at all); only actual cache misses are shipped.
+        processes at all).  The rest are grouped by cache key and each
+        group ships **one** task — its first query plus the
+        registration the parent resolved for it — to a stateless
+        worker: ``compute(query) -> recipe``, with no cache and no
+        snapshot of the parent's.  Uncacheable queries (and every
+        query when the cache is off) are groups of one.
+
+        The parent then absorbs the batch in input order, replaying
+        each recipe through the requesting query's own builder — exact
+        costs and names, and the *shared* cache evolves exactly as in
+        a serial thread-backend run: a group's leader replays the
+        worker's identity-space recipe and stores it, and each
+        follower's counted lookup hits that entry.  A follower whose
+        entry is already gone (evicted inside the batch) dispatches
+        locally, as the serial run does — it never replays the
+        leader's identity-space recipe on its own graph.
         """
         import pickle
         from concurrent.futures import ProcessPoolExecutor
@@ -1180,18 +1185,29 @@ class Optimizer:
         from .algebra.optree import TreeNode  # local: avoid import cycle
 
         results: list = [None] * len(items)
-        offload = []
+        #: (result index, prepared context, task index), input order
+        offload: "list[tuple[int, PipelineContext, int]]" = []
+        tasks: "list[tuple[Any, str]]" = []
+        task_of_key: dict = {}
         for index, query in enumerate(items):
             if isinstance(query, TreeNode):
                 continue
             ctx, served = self._probe_for_process_batch(query, shared)
             if served is not None:
                 results[index] = served
-            else:
-                # the prepared context rides along so absorbing the
-                # worker payload does not normalize/fingerprint again
-                offload.append((index, query, ctx))
-        if offload:
+                continue
+            key = ctx.key_info.key if ctx.key_info is not None else None
+            task = task_of_key.get(key) if key is not None else None
+            if task is None:
+                assert ctx.info is not None
+                task = len(tasks)
+                tasks.append((query, ctx.info.name))
+                if key is not None:
+                    task_of_key[key] = task
+            # the prepared context rides along so absorbing the
+            # worker payload does not normalize/fingerprint again
+            offload.append((index, ctx, task))
+        if tasks:
             try:
                 config_blob = pickle.dumps(self.config)
             except Exception as exc:
@@ -1201,31 +1217,33 @@ class Optimizer:
                     "stages must be module-level classes "
                     f"(pickling failed with: {exc})"
                 ) from exc
-            snapshot = (
-                persist.dump_document(shared)
-                if shared is not None and len(shared) else None
-            )
             if workers is None:
                 workers = os.cpu_count() or 1
-            n_workers = max(1, min(workers, len(offload)))
-            chunksize = max(1, len(offload) // (n_workers * 4))
+            n_workers = max(1, min(workers, len(tasks)))
+            chunksize = max(1, len(tasks) // (n_workers * 4))
             with ProcessPoolExecutor(
                 max_workers=n_workers,
                 initializer=_process_worker_init,
-                initargs=(
-                    config_blob,
-                    snapshot,
-                    snapshot_registrations(),
-                    shared is not None,
-                ),
+                initargs=(config_blob, snapshot_registrations()),
             ) as pool:
                 payloads = pool.map(
-                    _process_worker_run,
-                    [query for _index, query, _ctx in offload],
-                    chunksize=chunksize,
+                    _process_worker_run, tasks, chunksize=chunksize
                 )
-                for (index, _query, ctx), payload in zip(offload, payloads):
-                    results[index] = self._absorb_recipe(ctx, payload)
+                # leaders come in task order, so absorbing overlaps
+                # with the workers still computing later tasks
+                absorbed = 0
+                for index, ctx, task in offload:
+                    if task == absorbed:
+                        payload = next(payloads)
+                        absorbed += 1
+                        results[index] = self._absorb_recipe(
+                            ctx, payload["recipe"], payload["stats"]
+                        )
+                    else:
+                        # a follower: no recipe of its own, so a miss
+                        # (its leader's entry evicted inside the batch)
+                        # computes locally, as a serial run would
+                        results[index] = self._absorb_recipe(ctx, None)
         for index, query in enumerate(items):
             if isinstance(query, TreeNode):
                 results[index] = self._run_pipeline(query, None, None, shared)
@@ -1271,18 +1289,22 @@ class Optimizer:
     def _absorb_recipe(
         self,
         ctx: PipelineContext,
-        payload: dict,
+        recipe: Optional[Any],
+        worker_stats: Optional[dict] = None,
     ) -> OptimizationResult:
-        """Turn one worker payload into a parent-side result.
+        """Turn one computed recipe into a parent-side result.
 
         ``ctx`` is the already-prepared context from
         :meth:`_probe_for_process_batch` (normalize + fingerprint done,
         peek said miss).  The counted cache lookup happens here — it
-        may meanwhile hit an entry a sibling absorb stored, so a batch
+        may meanwhile hit an entry an earlier absorb stored, so a batch
         of isomorphic queries stores exactly one shared-cache entry
         (the first absorbed miss) and the rest hit it — the same cache
-        evolution a serial thread-backend run produces.  Dispatch is
-        replaced by replaying the worker's identity-space recipe.
+        evolution a serial thread-backend run produces.  Otherwise
+        dispatch is replaced by replaying the worker's identity-space
+        ``recipe`` (nested tuples over this query's own node indices);
+        with no recipe (a batch follower, or a worker that found no
+        plan) the miss dispatches locally.
         """
         stages = self.config.pipeline
         if ctx.cache_event != "replay_failed":
@@ -1290,19 +1312,22 @@ class Optimizer:
             # lookup (and reclassified it); probing again would count a
             # second miss and mask the event.
             stages.cache.lookup(ctx)
-        if not ctx.cache_hit and payload.get("recipe") is not None:
-            identity = tuple(range(ctx.graph.n_nodes))
-            try:
-                ctx.plan = replay_recipe(
-                    payload["recipe"], identity, ctx.graph, ctx.builder
-                )
-            except (ValueError, LookupError, TypeError):
-                # Defensive: a worker recipe that does not replay on
-                # the parent's graph (should not happen — same bytes)
-                # falls back to local dispatch rather than failing.
-                ctx.plan = stages.dispatch(ctx)
+        if not ctx.cache_hit:
+            assert ctx.graph is not None
+            plan: Optional[Plan] = None
+            if recipe is not None:
+                identity = tuple(range(ctx.graph.n_nodes))
+                try:
+                    plan = replay_recipe(
+                        recipe, identity, ctx.graph, ctx.builder
+                    )
+                except (ValueError, LookupError, TypeError):
+                    # Defensive: a worker recipe that does not replay
+                    # on the parent's graph (should not happen — same
+                    # bytes) is computed locally rather than failing.
+                    pass
+            ctx.plan = plan if plan is not None else stages.dispatch(ctx)
             stages.cache.store(ctx)
-        worker_stats = payload.get("stats")
         if worker_stats:
             ctx.stats.extra["process_worker"] = worker_stats
         return stages.finalize(ctx)
@@ -1339,64 +1364,51 @@ class Optimizer:
 # multiprocessing start method, including "spawn" where the worker
 # re-imports this module from scratch.
 
-#: per-worker-process state: {"optimizer": Optimizer, "cache": PlanCache|None}
+#: per-worker-process state: {"config": OptimizerConfig}
 _WORKER_STATE: dict = {}
 
 
-def _process_worker_init(
-    config_blob: bytes,
-    snapshot: Optional[dict],
-    registrations: list,
-    use_cache: bool,
-) -> None:
+def _process_worker_init(config_blob: bytes, registrations: list) -> None:
     """Initializer run once in each ``optimize_many`` worker process.
 
     Restores custom algorithm registrations *before* unpickling the
-    config (whose validation resolves algorithm names), then builds
-    the worker's own Optimizer and a process-local cache warmed from
-    the parent's read-only snapshot.  ``use_cache`` is the parent's
-    *effective* batch policy (config plus the per-call ``cache=``
-    override): with it off, workers run cacheless too, keeping
-    ``optimize_many(cache=False)`` bit-identical to the pre-cache
-    optimizer under every executor.  ``cache_path`` is deliberately
-    not consulted here — the snapshot already is the parent's view,
-    and workers must never write the persistence file.
+    config (whose validation resolves algorithm names).  The config is
+    all a worker keeps: it holds no cache, so it never reads or writes
+    ``cache_path`` and its plans cannot depend on cache history.
     """
     import pickle
 
     restore_registrations(registrations)
-    config = pickle.loads(config_blob)
-    optimizer = Optimizer(config)
-    cache: Optional[PlanCache] = None
-    if use_cache:
-        if snapshot is not None:
-            cache = persist.restore_document(
-                snapshot, capacity=config.cache_size
-            )
-        else:
-            cache = PlanCache(config.cache_size)
-        optimizer._plan_cache = cache  # pre-empt the cache_path auto-load
-    _WORKER_STATE["optimizer"] = optimizer
-    _WORKER_STATE["cache"] = cache
+    _WORKER_STATE["config"] = pickle.loads(config_blob)
 
 
-def _process_worker_run(query: Any) -> dict:
-    """Optimize one query in a worker; return a picklable payload.
+def _process_worker_run(task: "tuple[Any, str]") -> dict:
+    """``compute(query) -> recipe`` for one ``(query, algorithm)`` task.
 
-    The payload is *not* the plan (a worker's Plan holds its own graph
-    objects, useless to the parent) but the join tree as an
-    identity-space recipe — nested tuples over the query's own node
+    ``algorithm`` is the registration the parent resolved — for
+    ``"auto"`` possibly promoted by its cache's structure statistics —
+    and therefore the one named in the cache key the parent stores the
+    result under.  The payload is *not* the plan (a worker's Plan holds
+    its own graph objects, useless to the parent) but the join tree as
+    an identity-space recipe — nested tuples over the query's own node
     indices — plus the worker's search statistics.  The parent replays
     the recipe through the requesting query's builder for exact costs.
     """
-    optimizer: Optimizer = _WORKER_STATE["optimizer"]
-    result = optimizer._run_pipeline(
-        query, None, None, _WORKER_STATE["cache"]
+    query, algorithm = task
+    config: OptimizerConfig = _WORKER_STATE["config"]
+    stages = config.pipeline
+    ctx = PipelineContext(
+        config=config,
+        query=query,
+        cardinalities=None,
+        builder_arg=None,
+        cache=None,
     )
-    if result.plan is None or result.graph is None:
-        return {"recipe": None, "stats": result.stats.as_dict()}
-    identity = tuple(range(result.graph.n_nodes))
-    return {
-        "recipe": plan_recipe(result.plan, identity),
-        "stats": result.stats.as_dict(),
-    }
+    stages.normalize(ctx)
+    ctx.info = get_algorithm(algorithm)
+    plan = stages.dispatch(ctx)
+    stats = ctx.stats.as_dict()
+    if plan is None or ctx.graph is None:
+        return {"recipe": None, "stats": stats}
+    identity = tuple(range(ctx.graph.n_nodes))
+    return {"recipe": plan_recipe(plan, identity), "stats": stats}

@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-path", default=None,
-        help="persistence file: loaded at start, autosaved at shutdown",
+        help="plan-store file (.sqlite/.sqlite3/.db): loaded at start, "
+        "autosaved at shutdown",
     )
     parser.add_argument(
         "--cache-size", type=int, default=None,

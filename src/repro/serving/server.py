@@ -3,12 +3,13 @@
 One :class:`PlanServer` owns
 
 * a single shared :class:`~repro.cache.plan_cache.PlanCache` (loaded
-  from ``OptimizerConfig.cache_path`` when configured, saved back on
+  from the :class:`~repro.cache.store.PlanStore` at
+  ``OptimizerConfig.cache_path`` when configured, saved back on
   shutdown and on the ``save`` op),
 * a **persistent** ``ProcessPoolExecutor`` reused across requests —
   the whole point of the daemon: ``optimize_many(executor="process")``
-  pays pool spawn plus a full snapshot warm-up per batch, a resident
-  pool pays it once and stays warm via
+  pays pool spawn per batch, a resident pool pays it once and stays
+  warm via
   :meth:`~repro.cache.plan_cache.PlanCache.sync_since` deltas
   (:mod:`repro.serving.sync`),
 * an asyncio TCP front end on localhost speaking the length-prefixed
@@ -53,7 +54,7 @@ from dataclasses import replace
 from typing import Any, Optional
 
 from ..cache.plan_cache import PlanCache
-from ..cache.store import open_persister
+from ..cache.store import PlanStore
 from ..optimizer import OptimizationResult, Optimizer, OptimizerConfig
 from ..registry import snapshot_registrations
 from .protocol import (
@@ -182,21 +183,19 @@ class PlanServer:
         self.idle_timeout = idle_timeout
         self.debug_ops = debug_ops
         if config.cache_path is not None:
-            #: persistence backend for ``cache_path`` — the SQLite
-            #: :class:`~repro.cache.store.PlanStore` for ``.sqlite``
-            #: paths (incremental row upserts, TTL/size-budget
-            #: compaction), the JSON document otherwise; ``load()``
-            #: attaches the cache so the just-loaded content counts as
-            #: already persisted
-            self._persister: Optional[Any] = open_persister(
+            #: the :class:`~repro.cache.store.PlanStore` behind
+            #: ``cache_path`` (incremental row upserts, TTL/size-budget
+            #: compaction); ``load()`` attaches the cache so the
+            #: just-loaded content counts as already persisted
+            self._store: Optional[PlanStore] = PlanStore(
                 config.cache_path,
                 capacity=config.cache_size,
                 ttl=config.cache_ttl,
                 size_budget=config.cache_size_budget,
             )
-            self.cache = self._persister.load()
+            self.cache = self._store.load()
         else:
-            self._persister = None
+            self._store = None
             self.cache = PlanCache(config.cache_size)
         self._tracker = DeltaTracker(expected_workers=workers)
         self._lock = asyncio.Lock()
@@ -323,10 +322,10 @@ class PlanServer:
         tasks = [task for task in doomed.values() if not task.done()]
         if tasks:
             await asyncio.wait(tasks, timeout=2.0)
-        if self._persister is not None:
+        if self._store is not None:
             # release the store's connection (and stop its background
             # compactor, when one is running) after the final save
-            self._persister.close()
+            self._store.close()
         if self._tier is not None:
             # the pool is down, no reader is left: unlink the segment
             self._tier.close(unlink=True)
@@ -336,29 +335,27 @@ class PlanServer:
     async def _save(self, force: bool = False) -> Optional[int]:
         """Persist the shared cache to ``cache_path``, if configured.
 
-        Delegates to the persistence backend, which skips the write
-        when nothing changed since the last save (the same
+        Delegates to the plan store, which skips the write when nothing
+        changed since the last save (the same
         :meth:`~repro.cache.plan_cache.PlanCache.sync_since` cursor the
-        worker warm-ups ride) and otherwise persists only the delta —
-        the SQLite store upserts O(new entries) rows even when the
-        cache holds thousands.  ``force`` (the shutdown save) writes
-        even a clean cache and lets the store reconcile dropped
-        entries.
+        worker warm-ups ride) and otherwise upserts only the delta —
+        O(new entries) rows even when the cache holds thousands.
+        ``force`` (the shutdown save) writes even a clean cache and
+        lets the store reconcile dropped entries.
 
         The sync is a real disk transaction (plus inline TTL/budget
-        compaction on the store backend), so it runs in a worker
-        thread: the lock still serializes saves against each other,
-        but the event loop keeps handling requests meanwhile (the
-        store is internally locked and opened with
-        ``check_same_thread=False``).
+        compaction), so it runs in a worker thread: the lock still
+        serializes saves against each other, but the event loop keeps
+        handling requests meanwhile (the store is internally locked and
+        opened with ``check_same_thread=False``).
         """
-        persister = self._persister
-        if persister is None:
+        store = self._store
+        if store is None:
             return None
         loop = asyncio.get_running_loop()
         async with self._lock:
             return await loop.run_in_executor(
-                None, lambda: persister.sync(self.cache, force)
+                None, lambda: store.sync_from(self.cache, force)
             )
 
     # -- connection handling ---------------------------------------------
@@ -560,9 +557,7 @@ class PlanServer:
             "cache": self.cache.counters(),
             "sync": self._tracker.counters(),
             "store": (
-                self._persister.counters()
-                if self._persister is not None
-                else None
+                self._store.counters() if self._store is not None else None
             ),
             "structures": self.cache.structures(),
             "shared_tier": tier,
@@ -653,7 +648,9 @@ class PlanServer:
         if tier_counters:
             async with self._lock:
                 self._worker_tier[payload["pid"]] = tier_counters
-        result = optimizer._absorb_recipe(ctx, payload)
+        result = optimizer._absorb_recipe(
+            ctx, payload["recipe"], payload.get("stats")
+        )
         if self._tier is not None:
             # republish so sibling workers see this plan at their next
             # task start, without waiting for a shipped delta

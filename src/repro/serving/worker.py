@@ -2,9 +2,9 @@
 
 Module-level functions (they must pickle by reference under every
 multiprocessing start method) plus the per-process state they share.
-Unlike the batch backend in :mod:`repro.optimizer` — whose workers are
-born with one full snapshot and die with the batch — serving workers
-live for the daemon's lifetime and are kept warm **incrementally**:
+Unlike the batch backend in :mod:`repro.optimizer` — whose stateless
+workers hold no cache and die with the batch — serving workers live
+for the daemon's lifetime and are kept warm **incrementally**:
 every task carries a :class:`~repro.cache.plan_cache.CacheDelta` (the
 entries written to the parent cache since the pool's sync floor), and
 the worker absorbs only what is newer than its own cursor.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import persist
+from repro.cache import PlanStore, persist
 from repro.cache.keys import structure_bucket
 from repro.cache.plan_cache import CacheDelta, PlanCache
 from repro.core.hypergraph import Hypergraph
@@ -151,58 +151,45 @@ class TestAutosaveChangeDetection:
     Both autosave and worker warming key off the same atomic
     ``sync_since`` cursor — a batch that produced no new entries skips
     the write, but *any* mutation (including a bare epoch bump between
-    batches) makes the next autosave persist again.
+    batches) makes the next autosave persist again.  ``PlanStore.syncs``
+    counts the syncs that opened a write transaction.
     """
 
-    @pytest.fixture
-    def counting_save(self, monkeypatch):
-        calls = []
-        real = persist.save_document
-
-        def wrapper(document, path):
-            calls.append(path)
-            return real(document, path)
-
-        monkeypatch.setattr(persist, "save_document", wrapper)
-        return calls
-
-    def test_unchanged_batch_skips_the_write(self, tmp_path, counting_save):
-        path = str(tmp_path / "cache.json")
+    def test_unchanged_batch_skips_the_write(self, tmp_path):
+        path = str(tmp_path / "cache.sqlite")
         optimizer = Optimizer(OptimizerConfig(cache="on", cache_path=path))
         optimizer.optimize_many([chain_spec()])
-        assert len(counting_save) == 1
+        store = optimizer._store
+        assert store.syncs == 1
         optimizer.optimize_many([chain_spec()])  # hits only: no change
-        assert len(counting_save) == 1
+        assert store.syncs == 1
 
-    def test_epoch_bump_between_batches_is_persisted(
-        self, tmp_path, counting_save
-    ):
-        import json
-
-        path = str(tmp_path / "cache.json")
+    def test_epoch_bump_between_batches_is_persisted(self, tmp_path):
+        path = str(tmp_path / "cache.sqlite")
         optimizer = Optimizer(OptimizerConfig(cache="on", cache_path=path))
         optimizer.optimize_many([chain_spec()])
-        with open(path) as handle:
-            assert json.load(handle)["epoch"] == 0
+        store = optimizer._store
+        assert store.export_document()["epoch"] == 0
         optimizer.plan_cache.bump_epoch()
         # the entry count did not change, only the mutation counter —
         # the next batch (which re-derives the now-stale entry) must
         # notice and write the new epoch, not skip as "unchanged"
         optimizer.optimize_many([chain_spec()])
-        assert len(counting_save) == 2
-        with open(path) as handle:
-            assert json.load(handle)["epoch"] == 1
+        assert store.syncs == 2
+        assert store.export_document()["epoch"] == 1
         # the loader rebases: only the fresh re-derivation survives
-        assert len(persist.load(path)) == 1
+        with PlanStore(path) as reopened:
+            assert len(reopened.load()) == 1
 
-    def test_explicit_save_resets_the_marker(self, tmp_path, counting_save):
-        path = str(tmp_path / "cache.json")
+    def test_explicit_save_resets_the_marker(self, tmp_path):
+        path = str(tmp_path / "cache.sqlite")
         optimizer = Optimizer(OptimizerConfig(cache="on", cache_path=path))
         optimizer.optimize(chain_spec())
         optimizer.save_cache()
-        assert len(counting_save) == 1
+        store = optimizer._store
+        assert store.syncs == 1
         optimizer.optimize_many([chain_spec()])  # nothing new since save
-        assert len(counting_save) == 1
+        assert store.syncs == 1
 
 
 class TestHotBucketPromotion:

@@ -10,9 +10,11 @@ The contract under test (docs/cache.md):
   skipped on load;
 * a corrupt or foreign file degrades to a cold cache with a
   ``CachePersistenceWarning`` — never an exception;
-* ``OptimizerConfig(cache_path=...)`` auto-loads on first use and
-  autosaves after ``optimize_many`` batches, so a restarted process
-  serves its first repeated query as a hit.
+* ``OptimizerConfig(cache_path=...)`` — a SQLite plan store, the one
+  autosave backend — auto-loads on first use and autosaves after
+  ``optimize_many`` batches, so a restarted process serves its first
+  repeated query as a hit; a non-store path is rejected with the
+  JSON-to-store migration recipe.
 """
 
 import json
@@ -24,6 +26,7 @@ import pytest
 from repro.cache import (
     CachePersistenceWarning,
     PlanCache,
+    PlanStore,
     dump_document,
     load,
     restore_document,
@@ -395,9 +398,10 @@ class TestProcessScopedKeys:
             unregister_algorithm("redefined")
             del sys.modules["fake_solver_module"]
 
-    def test_in_memory_snapshot_keeps_process_scoped_entries(self):
-        """Worker warm-up snapshots stay within one process lifetime,
-        so process-scoped entries must survive the round trip."""
+    def test_restored_document_drops_process_scoped_entries(self):
+        """An in-memory document is interchange like a file: it may
+        come from another lifetime, so process-scoped entries never
+        survive :func:`restore_document` (silently, no warning)."""
         from repro.cost.models import CostModel
 
         class StatefulModel(CostModel):
@@ -415,7 +419,7 @@ class TestProcessScopedKeys:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             clone = restore_document(dump_document(opt.plan_cache))
-        assert len(clone) == 1  # kept in memory, excluded on disk
+        assert len(clone) == 0
 
     def test_builtin_solver_fingerprint_is_restart_stable(self):
         from repro.core.identity import is_process_scoped
@@ -493,7 +497,7 @@ class TestProcessScopedKeys:
 
 class TestFacadeIntegration:
     def test_warm_restart_first_query_is_hit(self, tmp_path):
-        path = str(tmp_path / "plans.json")
+        path = str(tmp_path / "plans.sqlite")
         batch = repeated_workload(generators.cycle(6, seed=5), 6, seed=8)
         config = OptimizerConfig(cache="on", cache_path=path)
 
@@ -509,39 +513,40 @@ class TestFacadeIntegration:
             assert a.cost == b.cost
 
     def test_autosave_skips_unchanged_cache(self, tmp_path):
-        """A fully-warm batch does pure lookups — no file rewrite."""
-        path = str(tmp_path / "plans.json")
+        """A fully-warm batch does pure lookups — no store write."""
+        path = str(tmp_path / "plans.sqlite")
         config = OptimizerConfig(cache="on", cache_path=path)
         batch = repeated_workload(generators.chain(5, seed=9), 4, seed=3)
         optimizer = Optimizer(config)
         optimizer.optimize_many(batch)            # populates + saves
-        stamp = os.stat(path).st_mtime_ns
+        store = optimizer._store
+        assert store.syncs == 1
         optimizer.optimize_many(batch)            # all hits: clean
-        assert os.stat(path).st_mtime_ns == stamp
+        assert store.syncs == 1
         # a genuinely new shape dirties the cache and re-saves
         optimizer.optimize_many(
             repeated_workload(generators.star(4, seed=2), 2, seed=1)
         )
-        assert os.stat(path).st_mtime_ns != stamp
+        assert store.syncs == 2
 
     def test_first_warm_batch_after_restart_does_not_rewrite(
         self, tmp_path
     ):
         """Auto-load counts as 'saved': a restarted server's first
         all-hits batch must not rewrite an identical file."""
-        path = str(tmp_path / "plans.json")
+        path = str(tmp_path / "plans.sqlite")
         config = OptimizerConfig(cache="on", cache_path=path)
         batch = repeated_workload(generators.chain(5, seed=9), 4, seed=3)
         Optimizer(config).optimize_many(batch)      # populate + save
-        stamp = os.stat(path).st_mtime_ns
 
         restarted = Optimizer(config)               # auto-loads
         results = restarted.optimize_many(batch)    # pure hits
         assert all(e == "hit" for e in events_of(results))
-        assert os.stat(path).st_mtime_ns == stamp
+        assert restarted._store.syncs == 0
+        assert restarted._store.rows_written == 0
 
-    def test_autosave_off_leaves_no_file(self, tmp_path):
-        path = str(tmp_path / "plans.json")
+    def test_autosave_off_writes_nothing(self, tmp_path):
+        path = str(tmp_path / "plans.sqlite")
         config = OptimizerConfig(
             cache="on", cache_path=path, cache_autosave=False
         )
@@ -549,9 +554,11 @@ class TestFacadeIntegration:
         optimizer.optimize_many(
             repeated_workload(generators.chain(4, seed=1), 3)
         )
-        assert not os.path.exists(path)
-        optimizer.save_cache()  # explicit save still works
-        assert os.path.exists(path)
+        assert optimizer._store.rows_written == 0
+        # explicit save still works
+        assert optimizer.save_cache() == len(optimizer.plan_cache) > 0
+        with PlanStore(path) as store:
+            assert store.entry_count() == len(optimizer.plan_cache)
 
     def test_save_cache_requires_a_path(self):
         with pytest.raises(ValueError, match="cache_path"):
@@ -567,7 +574,7 @@ class TestFacadeIntegration:
         assert written == len(optimizer.plan_cache) > 0
 
     def test_corrupt_cache_path_still_serves(self, tmp_path):
-        path = str(tmp_path / "plans.json")
+        path = str(tmp_path / "plans.sqlite")
         with open(path, "w") as handle:
             handle.write("garbage{{{")
         config = OptimizerConfig(cache="on", cache_path=path)
@@ -580,7 +587,7 @@ class TestFacadeIntegration:
 
     def test_drifted_stats_never_served_stale_plans(self, tmp_path):
         """Statistics-drifted copies miss the persisted entries."""
-        path = str(tmp_path / "plans.json")
+        path = str(tmp_path / "plans.sqlite")
         base = generators.chain(6, seed=11)
         config = OptimizerConfig(cache="on", cache_path=path)
         Optimizer(config).optimize_many(repeated_workload(base, 4))
@@ -593,10 +600,21 @@ class TestFacadeIntegration:
         assert "hit" not in events_of(results)[1:]
 
     def test_cache_size_bounds_loaded_cache(self, tmp_path):
-        path = str(tmp_path / "plans.json")
-        save(make_cache(entries=8, capacity=16), path)
+        path = str(tmp_path / "plans.sqlite")
+        with PlanStore(path) as store:
+            store.sync_from(make_cache(entries=8, capacity=16))
         optimizer = Optimizer(
             OptimizerConfig(cache="on", cache_path=path, cache_size=3)
         )
         assert len(optimizer.plan_cache) == 3
         assert optimizer.plan_cache.capacity == 3
+
+    @pytest.mark.parametrize("name", ["plans.json", "plans", "plans.txt"])
+    def test_non_store_cache_path_rejected_with_migration(self, name):
+        """The JSON document is interchange only: a cache_path that is
+        not a plan store is refused up front (writing SQLite over a
+        JSON file would get it quarantined as corrupt), and the error
+        names the migration."""
+        with pytest.raises(ValueError, match="import_document") as err:
+            OptimizerConfig(cache="on", cache_path=name)
+        assert ".sqlite" in str(err.value)

@@ -3,9 +3,10 @@
 Contract: ``optimize_many(executor="process")`` returns results
 identical to the thread backend — same plans (cost, shape, explain
 output), same input order, same shared-cache evolution — while the
-enumeration itself runs in worker processes.  Workers are warmed from
-a read-only snapshot of the shared cache and send plans back as
-identity-space recipes the parent replays.
+enumeration itself runs in worker processes.  Workers are stateless
+(no cache, no snapshot of the parent's): the parent ships one task per
+distinct missing cache key and replays the identity-space recipes the
+workers send back.
 """
 
 import os
@@ -29,7 +30,11 @@ from repro.registry import (
 )
 from repro.workloads import generators
 from repro.workloads.nonreorderable import star_antijoin_tree
-from repro.workloads.repeated import drifting_workload, repeated_workload
+from repro.workloads.repeated import (
+    drifting_workload,
+    relabeled,
+    repeated_workload,
+)
 
 
 def assert_same_results(thread_results, process_results):
@@ -146,32 +151,26 @@ class TestEquivalence:
 
 
 class TestWorkerInternals:
-    def test_worker_snapshot_warmup_serves_hits(self):
-        """A warmed worker replays from its process-local cache."""
-        from repro.cache import dump_document
-
-        parent = Optimizer(OptimizerConfig(cache="on"))
-        base = generators.chain(5, seed=13)
-        parent.optimize_many(repeated_workload(base, 3, seed=1))
-        snapshot = dump_document(parent.plan_cache)
-        # run the worker protocol in-process (same functions the pool
-        # initializer and map target execute in a child)
-        _process_worker_init(
-            pickle.dumps(parent.config), snapshot, snapshot_registrations(),
-            True,
-        )
-        payload = _process_worker_run(base)
-        assert payload["recipe"] is not None
-        assert payload["stats"]["plan_cache"]["event"] == "hit"
-        assert payload["stats"]["plan_cache"]["restored"] > 0
-
     def test_worker_payload_is_picklable(self):
-        _process_worker_init(
-            pickle.dumps(OptimizerConfig(cache="on")), None, [], True
-        )
-        payload = _process_worker_run(generators.cycle(5, seed=3))
+        _process_worker_init(pickle.dumps(OptimizerConfig(cache="on")), [])
+        payload = _process_worker_run((generators.cycle(5, seed=3), "dphyp"))
         clone = pickle.loads(pickle.dumps(payload))
         assert clone["recipe"] == payload["recipe"]
+        # a stateless worker: it enumerated, and holds no cache
+        assert payload["stats"]["ccp_emitted"] > 0
+        assert "plan_cache" not in payload["stats"]
+
+    def test_worker_computes_with_the_parent_resolution(self):
+        """The task's registration wins over the worker's own "auto"
+        resolution: the parent may have promoted a borderline query to
+        exact enumeration from its cache's structure statistics, and
+        the result is stored under that registration's key."""
+        config = OptimizerConfig(cache="on", exact_threshold=5)
+        _process_worker_init(pickle.dumps(config), [])
+        query = generators.chain(6, seed=2)
+        exact = _process_worker_run((query, "dphyp"))
+        greedy = _process_worker_run((query, "greedy"))
+        assert exact["stats"]["ccp_emitted"] > greedy["stats"]["ccp_emitted"]
 
     def test_cache_false_workers_really_enumerate(self):
         """The per-call cache override reaches the workers.
@@ -300,9 +299,83 @@ def _solve_leftdeep(graph, builder, stats):
     return plan
 
 
+@pytest.fixture
+def shipped_tasks(monkeypatch):
+    """The task lists every ``ProcessPoolExecutor.map`` receives."""
+    import concurrent.futures
+
+    shipped = []
+    real_map = concurrent.futures.ProcessPoolExecutor.map
+
+    def recording_map(self, fn, tasks, **kwargs):
+        tasks = list(tasks)
+        shipped.append(tasks)
+        return real_map(self, fn, tasks, **kwargs)
+
+    monkeypatch.setattr(
+        concurrent.futures.ProcessPoolExecutor, "map", recording_map
+    )
+    return shipped
+
+
+class TestTaskGrouping:
+    def test_in_batch_repeats_ship_one_task(self, shipped_tasks):
+        query = generators.chain(6, seed=4)
+        optimizer = Optimizer(OptimizerConfig(cache="on"))
+        results = optimizer.optimize_many(
+            [query] * 5, executor="process", parallel=2
+        )
+        assert [len(tasks) for tasks in shipped_tasks] == [1]
+        assert events_of(results) == ["miss"] + ["hit"] * 4
+        assert optimizer.plan_cache.stores == 1
+
+    def test_isomorphic_relabelings_ship_one_task(self, shipped_tasks):
+        base = generators.star(5, seed=9)
+        batch = [base] + [relabeled(base, seed=s) for s in (1, 2, 3)]
+        thread_results = Optimizer(OptimizerConfig(cache="on")).optimize_many(
+            batch, executor="thread"
+        )
+        process_results = Optimizer(
+            OptimizerConfig(cache="on")
+        ).optimize_many(batch, executor="process", parallel=2)
+        assert [len(tasks) for tasks in shipped_tasks] == [1]
+        assert_same_results(thread_results, process_results)
+
+    def test_evicted_follower_computes_locally(self, shipped_tasks):
+        """``cache_size=1``: the follower's entry is evicted by the
+        next leader before it is absorbed, so it misses and enumerates
+        in the parent on its own graph, exactly like a serial run."""
+        first = generators.chain(6, seed=2)
+        second = generators.cycle(5, seed=7)
+        batch = [first, second, relabeled(first, seed=5)]
+        config = OptimizerConfig(cache="on", cache_size=1)
+        thread_results = Optimizer(config).optimize_many(
+            batch, executor="thread"
+        )
+        process = Optimizer(config)
+        process_results = process.optimize_many(
+            batch, executor="process", parallel=2
+        )
+        assert [len(tasks) for tasks in shipped_tasks] == [2]
+        assert_same_results(thread_results, process_results)
+        assert events_of(process_results) == ["miss", "miss", "miss"]
+        follower = process_results[2].stats.extra
+        assert "process_worker" not in follower  # not a worker recipe
+        assert "process_worker" in process_results[0].stats.extra
+        assert process.plan_cache.evictions == 2
+
+    def test_cache_off_ships_every_query(self, shipped_tasks):
+        """Without a cache there are no keys to group by."""
+        query = generators.chain(5, seed=3)
+        Optimizer(OptimizerConfig(cache="off")).optimize_many(
+            [query] * 3, executor="process", parallel=2
+        )
+        assert [len(tasks) for tasks in shipped_tasks] == [3]
+
+
 class TestPersistenceIntegration:
     def test_process_backend_autosaves_and_warm_restarts(self, tmp_path):
-        path = str(tmp_path / "plans.json")
+        path = str(tmp_path / "plans.sqlite")
         config = OptimizerConfig(cache="on", cache_path=path)
         batch = repeated_workload(generators.chain(6, seed=17), 6, seed=2)
 

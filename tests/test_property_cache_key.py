@@ -56,7 +56,7 @@ def configs(draw):
         memoize_neighborhoods=draw(st.booleans()),
         cache=draw(st.sampled_from(("auto", "on", "off"))),
         cache_size=draw(st.integers(min_value=1, max_value=4096)),
-        cache_path=draw(st.sampled_from((None, "a.json", "b.json"))),
+        cache_path=draw(st.sampled_from((None, "a.sqlite", "b.sqlite"))),
         cache_autosave=draw(st.booleans()),
         parallel_workers=draw(st.sampled_from((None, 1, 2, 8))),
         executor=draw(st.sampled_from(("thread", "process"))),
@@ -79,7 +79,7 @@ def perturb(config: OptimizerConfig, name: str) -> OptimizerConfig:
     elif name == "cache":
         value = "on" if current == "off" else "off"
     elif name == "cache_path":
-        value = "other.json" if current != "other.json" else None
+        value = "other.sqlite" if current != "other.sqlite" else None
     elif name == "cache_ttl":
         value = 60.0 if current != 60.0 else 120.0
     elif name == "cache_size_budget":

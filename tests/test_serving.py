@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import persist
+from repro.cache import PlanStore
 from repro.optimizer import OptimizerConfig, QuerySpec
 from repro.serving import BackgroundServer, PlanClient, ServerError
 
@@ -127,7 +127,7 @@ class TestNamespaces:
 
 class TestPersistenceOps:
     def test_save_op_and_shutdown_autosave(self, tmp_path):
-        path = str(tmp_path / "served.json")
+        path = str(tmp_path / "served.sqlite")
         config = OptimizerConfig(cache="on", cache_path=path)
         with BackgroundServer(config) as daemon:
             with PlanClient(daemon.address) as client:
@@ -138,11 +138,11 @@ class TestPersistenceOps:
                 assert client.save() == 0
                 client.optimize(chain_spec(tag=5.0))
         # BackgroundServer exit shut the daemon down: autosave ran
-        cache = persist.load(path)
-        assert len(cache) == 2
+        with PlanStore(path) as store:
+            assert len(store.load()) == 2
 
     def test_restart_resumes_from_saved_cache(self, tmp_path):
-        path = str(tmp_path / "served.json")
+        path = str(tmp_path / "served.sqlite")
         config = OptimizerConfig(cache="on", cache_path=path)
         with BackgroundServer(config) as daemon:
             with PlanClient(daemon.address) as client:

@@ -15,7 +15,7 @@ The contract under test (docs/store.md):
   ``CachePersistenceWarning`` and a cold rebuild, never an exception;
 * ``export_document`` / ``import_document`` round-trip against the
   JSON interchange format in :mod:`repro.cache.persist`;
-* ``OptimizerConfig(cache_path="plans.sqlite")`` selects the store
+* ``OptimizerConfig(cache_path="plans.sqlite")`` wires the store
   end-to-end (auto-load, incremental autosave, warm restart), and the
   serving daemon saves through it on shutdown.
 """
@@ -35,7 +35,6 @@ from repro.cache import (
     PlanCache,
     PlanStore,
     is_store_path,
-    open_persister,
     persist,
 )
 from repro.cache.store_schema import STORE_FORMAT_NAME, STORE_SCHEMA_VERSION
@@ -71,18 +70,16 @@ class TestPathSelection:
         assert is_store_path("PLANS.DB")
         assert not is_store_path("plans.json")
         assert not is_store_path("plans")
+        for name in ("plans.sqlite", "plans.sqlite3", "PLANS.DB"):
+            assert OptimizerConfig(cache_path=name).cache_path == name
 
-    def test_open_persister_picks_backends(self, tmp_path):
-        store = open_persister(store_path(tmp_path))
-        assert store.kind == "store"
-        store.close()
-        doc = open_persister(str(tmp_path / "plans.json"))
-        assert doc.kind == "document"
-        doc.close()
+    def test_json_cache_path_rejected_by_the_daemon_cli(self, tmp_path):
+        from repro.serving.__main__ import main
 
-    def test_json_backend_warns_on_retention_knobs(self, tmp_path):
-        with pytest.warns(CachePersistenceWarning, match="cache_ttl"):
-            open_persister(str(tmp_path / "plans.json"), ttl=60.0).close()
+        path = str(tmp_path / "plans.json")
+        with pytest.raises(ValueError, match="import_document"):
+            main(["--cache-path", path])
+        assert not os.path.exists(path)
 
 
 class TestRoundTrip:
@@ -193,6 +190,38 @@ class TestIncrementalWrites:
             assert store.failed_syncs == 1
             store._conn.execute("PRAGMA max_page_count=1073741823")
             assert store.sync_from(cache) == 1
+
+    def test_lru_eviction_writes_only_the_newcomer(self, tmp_path):
+        """An entry pushed out of the LRU costs no write; the load
+        still rebuilds exactly the cache's membership."""
+        cache = make_cache(entries=4, capacity=4)
+        with PlanStore(store_path(tmp_path)) as store:
+            store.sync_from(cache)
+            evictor = (1, "evictor", ("auto", "hyperedges", ("m", "q"), 14))
+            cache.store(evictor, (99, (0, 1)))
+            assert cache.evictions == 1
+            assert store.sync_from(cache) == 1
+            assert store.rows_written == 5
+            loaded = store.load()
+        assert len(loaded) == 4
+        for key, entry in cache.snapshot_entries():
+            got, status = loaded.probe(key)
+            assert status == "hit" and got.recipe == entry.recipe
+
+    def test_second_handle_sees_each_sync(self, tmp_path):
+        """The file tracks the cache: another handle on the same path
+        loads what every committed sync wrote."""
+        path = store_path(tmp_path)
+        cache = make_cache(entries=3)
+        with PlanStore(path) as writer, PlanStore(path) as reader:
+            writer.sync_from(cache)
+            assert len(reader.load()) == 3
+            cache.store(
+                (1, "another", ("auto", "hyperedges", ("m", "q"), 14)),
+                (7, (0, 1)),
+            )
+            writer.sync_from(cache)
+            assert len(reader.load()) == 4
 
 
 class TestTTL:
@@ -390,6 +419,35 @@ class TestForceReconciliation:
             gone, status = store.load(capacity=16).probe(doomed)
         assert status == "miss"
 
+    def test_force_sync_reconciles_lru_eviction(self, tmp_path):
+        cache = make_cache(entries=4, capacity=4)
+        evicted = (1, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
+        with PlanStore(store_path(tmp_path)) as store:
+            store.sync_from(cache)
+            cache.store(
+                (1, "evictor", ("auto", "hyperedges", ("m", "q"), 14)),
+                (99, (0, 1)),
+            )
+            assert store.sync_from(cache, force=True) == 1
+            assert store.entry_count() == 4
+            assert store.rows_reconciled == 1
+            gone, status = store.load(capacity=16).probe(evicted)
+        assert status == "miss"
+
+    def test_force_sync_of_a_clean_cache_writes_no_rows(self, tmp_path):
+        """``force`` checkpoints membership; it does not rewrite rows
+        the store already holds."""
+        cache = make_cache(entries=2)
+        with PlanStore(store_path(tmp_path)) as store:
+            assert store.sync_from(cache) == 2
+            assert store.sync_from(cache) == 0
+            assert store.skipped_syncs == 1
+            assert store.sync_from(cache, force=True) == 0
+            assert store.syncs == 2  # the forced one ran, writing nothing
+            assert store.rows_written == 2
+            assert store.rows_reconciled == 0
+            assert store.entry_count() == 2
+
     def test_daemon_shutdown_save_reconciles(self, tmp_path):
         """The daemon's final save mirrors the cache membership."""
         from repro.serving import BackgroundServer
@@ -580,6 +638,42 @@ class TestInterchange:
             e["key"] for e in document["entries"]
         }
 
+    def test_export_matches_dump_document_of_the_synced_cache(
+        self, tmp_path
+    ):
+        cache = make_cache(entries=6, capacity=8)
+        with PlanStore(store_path(tmp_path)) as store:
+            store.sync_from(cache)
+            exported = store.export_document()
+        dumped = persist.dump_document(cache)
+        assert exported["capacity"] == dumped["capacity"]
+        # same entries, same LRU-first order
+        assert [e["key"] for e in exported["entries"]] == [
+            e["key"] for e in dumped["entries"]
+        ]
+        assert [e["recipe"] for e in exported["entries"]] == [
+            e["recipe"] for e in dumped["entries"]
+        ]
+
+    def test_export_after_epoch_bump_holds_only_fresh_entries(
+        self, tmp_path
+    ):
+        """Stale-epoch rows are what a loader would skip, so the
+        interchange document leaves them out."""
+        cache = make_cache(entries=3)
+        fresh = (1, "fresh", ("auto", "hyperedges", ("m", "q"), 14))
+        with PlanStore(store_path(tmp_path)) as store:
+            store.sync_from(cache)
+            cache.bump_epoch()
+            cache.store(fresh, (42, (0, 1)))
+            store.sync_from(cache)
+            document = store.export_document()
+        assert len(document["entries"]) == 1
+        restored = persist.restore_document(document)
+        assert len(restored) == 1
+        entry, status = restored.probe(fresh)
+        assert status == "hit" and entry.recipe == (42, (0, 1))
+
 
 class TestOptimizerWiring:
     def test_sqlite_cache_path_warm_restart(self, tmp_path):
@@ -606,7 +700,7 @@ class TestOptimizerWiring:
         optimizer.optimize_many(
             repeated_workload(generators.chain(5, seed=9), 4, seed=3)
         )
-        store = optimizer._cache_persister.store
+        store = optimizer._store
         baseline = store.rows_written
         assert baseline == len(optimizer.plan_cache)
         # a second batch with ONE genuinely new shape writes one row
@@ -659,8 +753,8 @@ class TestOptimizerWiring:
             cache_size_budget=1 << 20,
         )
         optimizer = Optimizer(config)
-        optimizer.plan_cache  # open the backend
-        store = optimizer._cache_persister.store
+        optimizer.plan_cache  # open the store
+        store = optimizer._store
         assert store.ttl == 123.0
         assert store.size_budget == 1 << 20
 

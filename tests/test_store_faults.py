@@ -89,20 +89,20 @@ class TestKilledWriter:
     ):
         path = str(tmp_path / "plans.sqlite")
         src = os.path.join(os.path.dirname(__file__), "..", "src")
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", WRITER_SCRIPT.format(src=src, path=path)],
             stdout=subprocess.PIPE,
             text=True,
-        )
-        try:
-            line = proc.stdout.readline()
-            assert line.strip() == "READY"
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=10)
-        finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup
-                proc.kill()
-                proc.wait()
+        ) as proc:
+            try:
+                line = proc.stdout.readline()
+                assert line.strip() == "READY"
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=10)
+            finally:
+                if proc.poll() is None:  # pragma: no cover - cleanup
+                    proc.kill()
+                    proc.wait()
 
         # reopen: WAL recovery rolls back the torn transaction
         with PlanStore(path) as store:
@@ -120,19 +120,19 @@ class TestKilledWriter:
     def test_store_stays_writable_after_recovery(self, tmp_path):
         path = str(tmp_path / "plans.sqlite")
         src = os.path.join(os.path.dirname(__file__), "..", "src")
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", WRITER_SCRIPT.format(src=src, path=path)],
             stdout=subprocess.PIPE,
             text=True,
-        )
-        try:
-            assert proc.stdout.readline().strip() == "READY"
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=10)
-        finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup
-                proc.kill()
-                proc.wait()
+        ) as proc:
+            try:
+                assert proc.stdout.readline().strip() == "READY"
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=10)
+            finally:
+                if proc.poll() is None:  # pragma: no cover - cleanup
+                    proc.kill()
+                    proc.wait()
         with PlanStore(path) as store:
             cache = store.load()
             cache.store((1, "after", ("auto", "hyperedges", ("m", "q"), 14)),
@@ -343,7 +343,7 @@ class TestDiskPressure:
         optimizer.optimize_many(
             repeated_workload(generators.chain(4, seed=5), 2)
         )
-        store = optimizer._cache_persister.store
+        store = optimizer._store
         store._conn.execute("PRAGMA max_page_count=1")
         # a bulky pending entry guarantees the flush needs fresh pages
         optimizer.plan_cache.store(
