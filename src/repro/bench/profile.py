@@ -1,7 +1,9 @@
 """``python -m repro.bench profile`` — cProfile the optimizer hot path.
 
 Answers "where do the milliseconds go?" for one workload/algorithm
-combination without leaving the repository's CLI:
+combination without leaving the repository's CLI.  The default is
+``algorithm="auto"``, the route production runs; the report names the
+registration ``auto`` resolved to.  It gives:
 
 * top-N hot functions (by own time) straight from :mod:`cProfile`;
 * per-phase totals, bucketing every profiled function into the
@@ -18,7 +20,7 @@ honest for the kernel, whose search loop calls into costing closures.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.bench profile --workload chain --n 30
+    PYTHONPATH=src python -m repro.bench profile --workload chain --n 12
     PYTHONPATH=src python -m repro.bench profile --algorithm dphyp-kernel \
         --workload clique --n 10 --top 15 --json
 """
@@ -69,7 +71,7 @@ def classify_phase(filename: str) -> str:
 def profile_workload(
     workload: str,
     n: int,
-    algorithm: str = "dphyp",
+    algorithm: str = "auto",
     repeat: int = 1,
     top: int = 10,
 ) -> dict:
@@ -114,7 +116,8 @@ def profile_workload(
     functions.sort(key=lambda f: -f["tottime_ms"])
     return {
         "workload": query.description,
-        "algorithm": algorithm,
+        "algorithm": result.algorithm,
+        "requested_algorithm": algorithm,
         "repeat": max(repeat, 1),
         "cost": None if result.plan is None else result.plan.cost,
         "ccp": result.stats.ccp_emitted,
@@ -173,12 +176,15 @@ def main(argv=None) -> int:
         help="workload shape (default chain)",
     )
     parser.add_argument(
-        "--n", type=int, default=20,
-        help="relation count (star: satellite count; default 20)",
+        "--n", type=int, default=14,
+        help=(
+            "relation count (star: satellite count; default 14, the "
+            "largest size auto still enumerates exactly)"
+        ),
     )
     parser.add_argument(
-        "--algorithm", default="dphyp",
-        help="registered algorithm name (default dphyp)",
+        "--algorithm", default="auto",
+        help="registered algorithm name or auto (default auto)",
     )
     parser.add_argument(
         "--repeat", type=int, default=1,

@@ -83,6 +83,8 @@ def replay_recipe(
     right = replay_recipe(recipe[1], inverse, graph, builder)
     edges = graph.connecting_edges(left.nodes, right.nodes)
     candidates = builder.join_ordered(left, right, edges)
+    if len(candidates) == 1:  # JoinPlanBuilder: always exactly one
+        return candidates[0]
     if not candidates:
         raise ValueError(
             "cached join order is not constructible for this query "

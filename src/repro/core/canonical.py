@@ -101,23 +101,20 @@ class CanonicalForm:
         return tuple(inverse)
 
 
-def _token_table(tokens: Sequence[Any]) -> tuple[dict, tuple]:
+def _token_ranks(tokens: Sequence[Any]) -> tuple[list[int], tuple]:
     """Map arbitrary annotation tokens to dense, ordered ranks.
 
     Tokens only need a deterministic ``repr``; they are ordered by
     ``(type name, repr)`` so mixed types never hit a ``TypeError``
     during sorting, and the sorted table itself becomes part of the
     encoding (so the token *values* are fingerprinted, not just their
-    ranks).
+    ranks).  Returns ``(rank per token, table)``; each token's key is
+    built once.
     """
-    keyed = {(type(t).__name__, repr(t)) for t in tokens}
-    table = tuple(sorted(keyed))
-    ranks = {key: rank for rank, key in enumerate(table)}
-    return ranks, table
-
-
-def _token_rank(ranks: dict, token: Any) -> int:
-    return ranks[(type(token).__name__, repr(token))]
+    keys = [(type(t).__name__, repr(t)) for t in tokens]
+    table = tuple(sorted(set(keys)))
+    rank_of = {key: rank for rank, key in enumerate(table)}
+    return [rank_of[key] for key in keys], table
 
 
 def _refine(
@@ -127,12 +124,20 @@ def _refine(
     edge_ranks: Sequence[int],
     incidence: Sequence[Sequence[int]],
 ) -> list[int]:
-    """Stable color refinement; returns dense ranks per node."""
+    """Stable color refinement; returns dense ranks per node.
+
+    ``colors`` must already be dense ranks.  A discrete coloring (n
+    distinct ranks, the common case of distinct cardinalities) cannot
+    split further and is returned as is: a refinement pass would sort
+    the signatures by their leading color and reproduce it exactly.
+    """
+    n_classes = len(set(colors))
+    if n_classes == n:
+        return colors
 
     def side_colors(s: NodeSet) -> tuple[int, ...]:
         return tuple(sorted(colors[u] for u in bitset.iter_nodes(s)))
 
-    n_classes = len(set(colors))
     while True:
         signatures = []
         for v in range(n):
@@ -190,15 +195,21 @@ def _encode(
     for node, rank in enumerate(perm):
         inverse[rank] = node
     node_part = tuple(node_ranks[inverse[rank]] for rank in range(n))
-    edge_part = tuple(sorted(
-        (
-            tuple(sorted((mapped(left), mapped(right)))),
-            mapped(flex),
-            edge_ranks[position],
-        )
-        for position, (left, right, flex) in enumerate(edges)
-    ))
-    return (n, node_part, edge_part)
+    parts: list[tuple] = []
+    for position, (left, right, flex) in enumerate(edges):
+        if not flex and left & (left - 1) == 0 and right & (right - 1) == 0:
+            # simple edge: the same tuple as the general branch below
+            a = perm[left.bit_length() - 1]
+            b = perm[right.bit_length() - 1]
+            sides = ((a,), (b,)) if a < b else ((b,), (a,))
+            parts.append((sides, (), edge_ranks[position]))
+        else:
+            parts.append((
+                tuple(sorted((mapped(left), mapped(right)))),
+                mapped(flex),
+                edge_ranks[position],
+            ))
+    return (n, node_part, tuple(sorted(parts)))
 
 
 def _search(
@@ -253,8 +264,7 @@ def index_order_encoding(
     ``(encoding, edge_token_table)``; used by the name-sensitive
     fingerprint mode.
     """
-    ranks_map, table = _token_table(edge_colors)
-    edge_ranks = [_token_rank(ranks_map, token) for token in edge_colors]
+    edge_ranks, table = _token_ranks(edge_colors)
     encoding = _encode(
         n_nodes, tuple(range(n_nodes)), [0] * n_nodes, edges, edge_ranks
     )
@@ -292,25 +302,30 @@ def canonical_form(
     if len(edge_tokens) != len(edges):
         raise ValueError("need one edge color per edge")
 
-    node_rank_map, node_table = _token_table(node_tokens)
-    edge_rank_map, edge_table = _token_table(edge_tokens)
-    node_ranks = [_token_rank(node_rank_map, t) for t in node_tokens]
-    edge_ranks = [_token_rank(edge_rank_map, t) for t in edge_tokens]
-    incidence: list[list[int]] = [[] for _ in range(n_nodes)]
-    for position, (left, right, flex) in enumerate(edges):
-        for v in bitset.iter_nodes(left | right | flex):
-            incidence[v].append(position)
-
-    try:
-        encoding, perm = _search(
-            n_nodes, list(node_ranks), edges, edge_ranks, node_ranks,
-            incidence, [budget],
-        )
-        canonical = True
-    except _BudgetExceeded:
-        perm = tuple(range(n_nodes))
+    node_ranks, node_table = _token_ranks(node_tokens)
+    edge_ranks, edge_table = _token_ranks(edge_tokens)
+    if len(set(node_ranks)) == n_nodes:
+        # distinct node colors (distinct cardinalities): the coloring
+        # is already discrete, so it is the permutation — what
+        # _search would return without refining or branching
+        perm = tuple(node_ranks)
         encoding = _encode(n_nodes, perm, node_ranks, edges, edge_ranks)
-        canonical = False
+        canonical = True
+    else:
+        incidence: list[list[int]] = [[] for _ in range(n_nodes)]
+        for position, (left, right, flex) in enumerate(edges):
+            for v in bitset.iter_nodes(left | right | flex):
+                incidence[v].append(position)
+        try:
+            encoding, perm = _search(
+                n_nodes, list(node_ranks), edges, edge_ranks, node_ranks,
+                incidence, [budget],
+            )
+            canonical = True
+        except _BudgetExceeded:
+            perm = tuple(range(n_nodes))
+            encoding = _encode(n_nodes, perm, node_ranks, edges, edge_ranks)
+            canonical = False
 
     payload = repr((canonical, node_table, edge_table, encoding))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -17,6 +17,7 @@ never looks inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Optional, Sequence
 
 from . import bitset
@@ -246,8 +247,12 @@ class Hypergraph:
 
     @property
     def is_simple(self) -> bool:
-        """True iff every edge is simple (ordinary undirected graph)."""
-        return all(edge.is_simple for edge in self.edges)
+        """True iff every edge is simple (ordinary undirected graph).
+
+        Answered from the lazy edge index, which has already split the
+        edges into simple and complex ones.
+        """
+        return not self._edge_index()[3]
 
     def edges_within(self, s: NodeSet) -> list[Hyperedge]:
         """Edges of the node-induced subgraph on ``s`` (Definition 2).
@@ -294,7 +299,9 @@ class Hypergraph:
         probe, other = (
             (s1, s2) if s1.bit_count() <= s2.bit_count() else (s2, s1)
         )
-        found: dict[int, Hyperedge] = {}
+        # Each edge is found at most once: a simple edge from its one
+        # endpoint inside ``probe``, a complex edge by its own test.
+        found: list[tuple[int, Hyperedge]] = []
         remaining = probe
         while remaining:
             low = remaining & -remaining
@@ -302,12 +309,14 @@ class Hypergraph:
             if simple_adj[node] & other:
                 for other_side, position, edge in simple_incident[node]:
                     if other_side & other:
-                        found[position] = edge
+                        found.append((position, edge))
             remaining ^= low
         for position, edge in complex_edges:
             if edge.connects(s1, s2):
-                found[position] = edge
-        return [edge for _position, edge in sorted(found.items())]
+                found.append((position, edge))
+        if len(found) > 1:
+            found.sort(key=itemgetter(0))
+        return [edge for _position, edge in found]
 
     def has_connecting_edge(self, s1: NodeSet, s2: NodeSet) -> bool:
         """True iff some edge connects ``s1`` and ``s2`` (Def. 4 test).
@@ -356,22 +365,29 @@ class Hypergraph:
             return False
         if bitset.count(s) == 1:
             return True
-        inner = self.edges_within(s)
-        reached = bitset.min_bit(s)
-        changed = True
-        while changed and reached != s:
-            changed = False
+        # Growth is monotone, so its fixpoint does not depend on the
+        # order edges are applied in: close over the simple-adjacency
+        # bitmaps first, then retry the complex edges inside ``s``.
+        _key, simple_adj, _incident, complex_edges = self._edge_index()
+        inner = [edge for _position, edge in complex_edges if edge.spans(s)]
+        reached = frontier = bitset.min_bit(s)
+        while True:
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = simple_adj[low.bit_length() - 1] & s & ~reached
+                reached |= new
+                frontier |= new
+            grown = reached
             for edge in inner:
-                if bitset.is_subset(edge.left, reached):
-                    grown = reached | edge.right | edge.flex
-                elif bitset.is_subset(edge.right, reached):
-                    grown = reached | edge.left | edge.flex
-                else:
-                    continue
-                if grown != reached:
-                    reached = grown
-                    changed = True
-        return reached == s
+                if bitset.is_subset(edge.left, grown):
+                    grown |= edge.right | edge.flex
+                elif bitset.is_subset(edge.right, grown):
+                    grown |= edge.left | edge.flex
+            if grown == reached:
+                return reached == s
+            frontier = grown & ~reached
+            reached = grown
 
     def connected_components(self) -> list[NodeSet]:
         """Partition ``V`` into connected components.

@@ -1,39 +1,19 @@
-"""Precomputed cost/cardinality coefficients for the kernel search.
+"""Inline cost evaluation for the kernel search.
 
 The kernel's inner loop prices a candidate join with a handful of
 float operations instead of Plan construction plus cost-model method
-dispatch.  Everything that can be derived once per solve is derived
-here:
+dispatch.  :func:`classify_model` maps the builder's cost model onto
+an inline-evaluation kind once per solve, so the search loop prices
+candidates without a method call for every shipped model.
 
-* :class:`EdgeCoefficients` — per-edge ``(node-mask, selectivity)``
-  pairs in ``edges``-list order, plus (when numpy is importable and
-  the graph fits in 64 bits) a ``uint64`` mask array so the
-  edge-spans-set test for a new plan class is a single vectorized
-  comparison instead of a Python loop over every edge;
-* :func:`make_cardinality_fn` — a closure computing the *bit-identical*
-  equivalent of :meth:`repro.cost.cardinality.SetCardinalityEstimator.
-  cardinality`;
-* :func:`classify_model` — maps the builder's cost model onto an
-  inline-evaluation kind so the search loop prices candidates without
-  a method call for every shipped model.
-
-numpy is strictly optional: importing it failing (or a graph wider
-than 64 nodes) selects the pure-scalar closure, which performs the
-exact same arithmetic in the exact same order.  Selectivity
-multiplication stays sequential in ``edges``-list order even on the
-vectorized path — ``numpy.prod`` may reduce pairwise, which changes
-float rounding and would break the kernel's bit-identical-cost
-contract with ``dphyp``.
+Set cardinalities need no kernel-specific code: the search reads them
+from the builder's own :class:`~repro.cost.cardinality.
+SetCardinalityEstimator` (one routine and one memo, shared with the
+phase-2 rebuild), which is what makes them bit-identical to
+``dphyp``'s.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
-
-try:  # optional accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _np = None
 
 from ...cost.models import (
     CoutModel,
@@ -42,7 +22,6 @@ from ...cost.models import (
     SortMergeModel,
 )
 from ..bitset import NodeSet
-from ..hypergraph import Hypergraph
 
 #: inline-evaluation kinds for :func:`classify_model`
 KIND_COUT = 0
@@ -94,89 +73,3 @@ class PlanProxy:
         self.nodes: NodeSet = 0
         self.cardinality = 0.0
         self.cost = 0.0
-
-
-class EdgeCoefficients:
-    """Per-edge ``(node-mask, selectivity)`` pairs, precomputed once.
-
-    ``masks[i]`` / ``selectivities[i]`` follow ``graph.edges`` order.
-    ``vectorized`` is True when the spans-test may run through numpy
-    (importable, at most 64 nodes, at least one edge).
-    """
-
-    __slots__ = ("masks", "selectivities", "np_masks", "vectorized")
-
-    def __init__(
-        self, graph: Hypergraph, use_numpy: Optional[bool] = None
-    ) -> None:
-        self.masks = [edge.nodes for edge in graph.edges]
-        self.selectivities = [edge.selectivity for edge in graph.edges]
-        if use_numpy is None:
-            use_numpy = _np is not None
-        self.vectorized = bool(
-            use_numpy
-            and _np is not None
-            and graph.n_nodes <= 64
-            and self.masks
-        )
-        self.np_masks = (
-            _np.array(self.masks, dtype=_np.uint64)
-            if self.vectorized
-            else None
-        )
-
-
-def make_cardinality_fn(
-    base: "list[float]",
-    coefficients: EdgeCoefficients,
-    cache: "dict[NodeSet, float]",
-) -> Callable[[NodeSet], float]:
-    """Build ``card_of(s)``: clamped set cardinality, cached in ``cache``.
-
-    Bit-identical to ``SetCardinalityEstimator.cardinality``: base
-    cardinalities multiply in increasing node order, then the
-    selectivities of every spanned edge in ``edges``-list order, then
-    the one-row clamp.  The vectorized variant uses numpy only to
-    *select* the spanning edges; the multiplications themselves stay
-    sequential Python floats so rounding matches the scalar path (and
-    the estimator) exactly.
-    """
-    selectivities = coefficients.selectivities
-    if coefficients.vectorized:
-        np_masks = coefficients.np_masks
-        flatnonzero = _np.flatnonzero
-        uint64 = _np.uint64
-
-        def card_of(s: NodeSet) -> float:
-            card = 1.0
-            remaining = s
-            while remaining:
-                low = remaining & -remaining
-                card *= base[low.bit_length() - 1]
-                remaining ^= low
-            s64 = uint64(s)
-            for position in flatnonzero((np_masks & s64) == np_masks):
-                card *= selectivities[position]
-            card = max(card, 1.0)
-            cache[s] = card
-            return card
-
-        return card_of
-
-    masks = coefficients.masks
-
-    def card_of_scalar(s: NodeSet) -> float:
-        card = 1.0
-        remaining = s
-        while remaining:
-            low = remaining & -remaining
-            card *= base[low.bit_length() - 1]
-            remaining ^= low
-        for mask, selectivity in zip(masks, selectivities):
-            if mask & s == mask:
-                card *= selectivity
-        card = max(card, 1.0)
-        cache[s] = card
-        return card
-
-    return card_of_scalar

@@ -19,9 +19,8 @@ untouched.
 
 Why the costs come out bit-identical to ``dphyp`` (not merely close):
 
-* per-slot cardinality mirrors ``SetCardinalityEstimator`` operand
-  order exactly (increasing node order, then ``edges``-list order,
-  then the one-row clamp);
+* per-slot cardinality *is* the builder's ``SetCardinalityEstimator``
+  (its memo is read inline; a new set calls the estimator itself);
 * candidate costs replicate each shipped model's ``join_cost``
   expression operand-for-operand (generic models are *called*, via
   reused proxies);
@@ -32,10 +31,10 @@ Why the costs come out bit-identical to ``dphyp`` (not merely close):
   ``builder.join_ordered``, which recomputes the same floats from the
   same inputs.
 
-All mutable search state — the interning dict, the flat arrays, the
-cardinality cache — lives in locals of a single :meth:`KernelDPhyp.run`
-call; the module keeps no shared state, so concurrent solves from
-``optimize_many`` threads cannot interfere.
+All mutable search state — the interning dict, the flat arrays — lives
+in locals of a single :meth:`KernelDPhyp.run` call, and the cardinality
+memo in the per-query builder; the module keeps no shared state, so
+concurrent solves from ``optimize_many`` threads cannot interfere.
 """
 
 from __future__ import annotations
@@ -54,10 +53,8 @@ from .costing import (
     KIND_NLJ,
     KIND_SMJ,
     SYMMETRIC_KINDS,
-    EdgeCoefficients,
     PlanProxy,
     classify_model,
-    make_cardinality_fn,
 )
 
 
@@ -103,13 +100,11 @@ class KernelDPhyp:
         rights: "list[int]" = []
         leaves: "list[Plan]" = []        # node -> leaf plan, for phase 2
 
-        card_cache: "dict[int, float]" = {}
-        coefficients = EdgeCoefficients(graph)
-        card_of = make_cardinality_fn(
-            [float(c) for c in builder.cardinalities],
-            coefficients,
-            card_cache,
-        )
+        # One memo for both phases: the rebuild's join_ordered calls
+        # find every cardinality the search computed.
+        estimator = builder.estimator
+        card_cache = estimator.memo
+        card_of = estimator.cardinality
         model = builder.cost_model
         kind = classify_model(model)
         symmetric = kind in SYMMETRIC_KINDS

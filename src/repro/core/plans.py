@@ -181,7 +181,7 @@ class JoinPlanBuilder(PlanBuilder):
         # S1 | S2 without connecting S1 to S2 (e.g. ({a,b},{c}) when
         # S1 = {a,c}), and its selectivity must still be applied exactly
         # once for the estimate to be join-order invariant.
-        self._estimator = SetCardinalityEstimator(graph, self.cardinalities)
+        self.estimator = SetCardinalityEstimator(graph, self.cardinalities)
 
     def leaf(self, node: int) -> Plan:
         card = float(self.cardinalities[node])
@@ -198,7 +198,7 @@ class JoinPlanBuilder(PlanBuilder):
     def join_ordered(
         self, p1: Plan, p2: Plan, edges: Sequence[Hyperedge]
     ) -> list[Plan]:
-        card = self._estimator.cardinality(p1.nodes | p2.nodes)
+        card = self.estimator.cardinality(p1.nodes | p2.nodes)
         cost = self.cost_model.join_cost("join", p1, p2, card)
         self.stats.cost_calls += 1
         return [

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import bitset
 from ..core.bitset import NodeSet
 from ..core.hypergraph import Hypergraph
 
@@ -73,9 +72,16 @@ class SetCardinalityEstimator:
     """Order-invariant cardinality of relation sets for inner joins.
 
     ``cardinality(S)`` = product of base cardinalities of ``S`` times
-    the selectivities of all hyperedges spanned by ``S``.  Results are
-    memoized; the estimator is the reference the property tests compare
-    incremental plan cardinalities against.
+    the selectivities of all hyperedges spanned by ``S``.  It is the
+    one set-cardinality routine: ``JoinPlanBuilder`` and the flat-array
+    kernel both price through it, so they agree bit for bit.  Results
+    are memoized in :attr:`memo` (``set -> cardinality``, read-only for
+    callers; the kernel probes it inline before calling
+    :meth:`cardinality`).  The estimator is the reference the property
+    tests compare incremental plan cardinalities against.  The edge
+    list is read once, at construction, into ``(node mask,
+    selectivity)`` pairs, so "edge spanned by the set" is one bitmap
+    test per edge.
     """
 
     def __init__(
@@ -85,24 +91,32 @@ class SetCardinalityEstimator:
             raise ValueError("need one cardinality per node")
         self.graph = graph
         self.base = [float(c) for c in base_cardinalities]
-        self._cache: dict[NodeSet, float] = {}
+        self._edges = [(edge.nodes, edge.selectivity) for edge in graph.edges]
+        self.memo: dict[NodeSet, float] = {}
 
     def cardinality(self, s: NodeSet) -> float:
         if s == 0:
             raise ValueError("cardinality of the empty set is undefined")
-        cached = self._cache.get(s)
+        cached = self.memo.get(s)
         if cached is not None:
             return cached
+        # Fixed operand order (nodes ascending, then edges-list order):
+        # float products round differently when reordered, and cached
+        # plans must replay to the very same cost.
         card = 1.0
-        for node in bitset.iter_nodes(s):
-            card *= self.base[node]
-        for edge in self.graph.edges:
-            if edge.spans(s):
-                card *= edge.selectivity
+        remaining = s
+        base = self.base
+        while remaining:
+            low = remaining & -remaining
+            card *= base[low.bit_length() - 1]
+            remaining ^= low
+        for mask, selectivity in self._edges:
+            if mask & s == mask:
+                card *= selectivity
         # One-row clamp, applied at the *set* level so the estimate
         # remains a pure function of the relation set (order-invariant).
         card = max(card, 1.0)
-        self._cache[s] = card
+        self.memo[s] = card
         return card
 
     def newly_applied_selectivity(self, s1: NodeSet, s2: NodeSet) -> float:
@@ -110,7 +124,11 @@ class SetCardinalityEstimator:
         neither side alone — the factor applied by the joining node."""
         union = s1 | s2
         selectivity = 1.0
-        for edge in self.graph.edges:
-            if edge.spans(union) and not edge.spans(s1) and not edge.spans(s2):
-                selectivity *= edge.selectivity
+        for mask, edge_selectivity in self._edges:
+            if (
+                mask & union == mask
+                and mask & s1 != mask
+                and mask & s2 != mask
+            ):
+                selectivity *= edge_selectivity
         return selectivity

@@ -19,10 +19,11 @@ search statistics, the resolved algorithm, relation names, and the
 ``.explain()`` / ``.to_dict()`` conveniences.
 
 ``algorithm="auto"`` dispatches per the paper's guidance using the
-capability metadata in :mod:`repro.registry`: DPccp for small simple
-graphs, DPhyp for everything exact (complex hyperedges included), and
-the greedy heuristic beyond ``exact_threshold`` relations, where
-exhaustive enumeration stops being a sensible default.
+capability metadata in :mod:`repro.registry`: the flat-array DPhyp
+kernel for every exact inner-join query (complex hyperedges included),
+DPhyp for operator trees, and the greedy heuristic beyond
+``exact_threshold`` relations, where exhaustive enumeration stops
+being a sensible default.
 
 The legacy entry points — :func:`repro.api.optimize` and
 :func:`repro.algebra.pipeline.optimize_operator_tree` — are thin
@@ -438,6 +439,7 @@ class FingerprintStage:
             ctx.graph,
             ctx.resolved_cardinalities,
             ctx.config.cache_key() + (resolved,),
+            memo=ctx.cache.key_memo,
         )
         if not ctx.key_info.canonical:
             # canonicalization hit its budget (uniform-stats cliques):

@@ -74,15 +74,6 @@ class AlgorithmInfo:
             dispatch will still pick this algorithm, ``None`` for "no
             algorithm-specific ceiling".  This is *advisory* — explicit
             ``algorithm="dpsub"`` etc. always runs.
-        recommended_min_n: smallest relation count at which ``auto``
-            dispatch will pick this algorithm, ``None`` for "no
-            floor".  The mirror of ``recommended_max_n``, for backends
-            whose advantage only materializes on large queries (the
-            flat-array ``dphyp-kernel``: below the floor its two-phase
-            setup overhead is not worth displacing plain ``dphyp``,
-            and keeping small queries on ``dphyp`` keeps their cache
-            keys — which embed the resolved registration — stable).
-            Advisory in the same way: explicit selection always runs.
         auto_priority: tie-break among eligible candidates during
             ``auto`` dispatch; highest wins, ``0`` means "never
             auto-selected" (baselines kept for measurement only).
@@ -108,7 +99,6 @@ class AlgorithmInfo:
     supports_operator_trees: bool = True
     exact: bool = True
     recommended_max_n: Optional[int] = None
-    recommended_min_n: Optional[int] = None
     auto_priority: int = 0
     cacheable: bool = True
     description: str = ""
@@ -122,16 +112,6 @@ class AlgorithmInfo:
             raise ValueError(f"solver for {self.name!r} must be callable")
         if self.recommended_max_n is not None and self.recommended_max_n < 1:
             raise ValueError("recommended_max_n must be positive")
-        if self.recommended_min_n is not None and self.recommended_min_n < 1:
-            raise ValueError("recommended_min_n must be positive")
-        if (
-            self.recommended_min_n is not None
-            and self.recommended_max_n is not None
-            and self.recommended_min_n > self.recommended_max_n
-        ):
-            raise ValueError(
-                "recommended_min_n must not exceed recommended_max_n"
-            )
         if self.auto_priority < 0:
             raise ValueError("auto_priority must be non-negative")
 
@@ -429,12 +409,11 @@ def select_auto(
     * complex hyperedges rule out simple-graph-only solvers (DPccp);
     * above ``exact_threshold`` relations, exact enumerators are ruled
       out and the search falls back to the greedy heuristic;
-    * a solver's own ``recommended_max_n`` ceiling and
-      ``recommended_min_n`` floor are honoured;
-    * among the survivors the highest ``auto_priority`` wins, so DPccp
-      takes small simple graphs, the flat-array ``dphyp-kernel`` takes
-      large inner-join queries (its floor keeps it off small ones),
-      and DPhyp everything else exact.
+    * a solver's own ``recommended_max_n`` ceiling is honoured;
+    * among the survivors the highest ``auto_priority`` wins, so the
+      flat-array ``dphyp-kernel`` takes every exact inner-join query,
+      simple graph or hypergraph alike, and DPhyp the operator-tree
+      queries the kernel does not support.
 
     One cache-aware refinement: when a ``cache`` is attached and the
     query sits *just above* the threshold (within
@@ -468,8 +447,6 @@ def select_auto(
         if from_tree and not info.supports_operator_trees:
             continue
         if info.recommended_max_n is not None and n > info.recommended_max_n:
-            continue
-        if info.recommended_min_n is not None and n < info.recommended_min_n:
             continue
         if not info.exact:
             if fallback is None or info.auto_priority > fallback.auto_priority:
@@ -530,12 +507,9 @@ register_algorithm(AlgorithmInfo(
     # dispatching to dphyp, and the solver itself falls back for any
     # builder that is not a plain JoinPlanBuilder.
     supports_operator_trees=False,
-    # Outranks dphyp, but only for queries large enough that the
-    # flat-array search pays off; below the floor auto keeps picking
-    # dphyp, so existing small-query cache keys stay stable.
-    recommended_min_n=15,
+    # Outranks dphyp: auto's one enumerator for inner-join queries.
     auto_priority=60,
-    description="two-phase flat-array DPhyp for large inner-join queries",
+    description="two-phase flat-array DPhyp, the inner-join enumerator",
 ))
 register_algorithm(AlgorithmInfo(
     name="dphyp-recursive",
@@ -547,7 +521,6 @@ register_algorithm(AlgorithmInfo(
     solver=solve_dpccp,
     supports_hypergraphs=False,
     recommended_max_n=10,
-    auto_priority=80,
     description="csg-cmp-pair enumeration for simple graphs ([17])",
 ))
 register_algorithm(AlgorithmInfo(

@@ -414,6 +414,13 @@ class TestProfileSubcommand:
         assert document["workload"] == "star-4"
         assert len(document["hot"]) <= 10
 
+    def test_default_profiles_the_auto_route(self):
+        from repro.bench.profile import profile_workload
+
+        report = profile_workload("cycle", 6)
+        assert report["requested_algorithm"] == "auto"
+        assert report["algorithm"] == "dphyp-kernel"
+
     def test_bench_cli_dispatches_profile(self, capsys):
         from repro.bench.__main__ import main
 

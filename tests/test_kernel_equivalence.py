@@ -11,9 +11,9 @@ These tests pin that contract on random hypergraphs:
   generic proxy path);
 * ``SearchStats`` parity — ``ccp_emitted``, ``table_entries`` and
   ``cost_calls`` must match, or the kernel explored a different space;
-* the numpy-free scalar fallback (simulated by monkeypatching the
-  module's ``_np`` handle) produces the identical result, and the
-  vectorized/scalar cardinality closures agree bit-for-bit.
+* the kernel reads set cardinalities from the builder's estimator,
+  which agrees bit-for-bit with the spelled-out "base product, then
+  every spanned edge's selectivity" reference.
 """
 
 import pytest
@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 from repro.core.dphyp import solve_dphyp
 from repro.core.dphyp_recursive import solve_dphyp_recursive
+from repro.core import bitset
 from repro.core.kernel import solve_dphyp_kernel
-from repro.core.kernel import costing as kernel_costing
-from repro.core.kernel.costing import EdgeCoefficients, make_cardinality_fn
 from repro.core.plans import JoinPlanBuilder
 from repro.core.stats import SearchStats
+from repro.cost.cardinality import SetCardinalityEstimator
 from repro.cost.models import (
     CoutModel,
     HashJoinModel,
@@ -140,48 +140,58 @@ class TestKernelEquivalence:
         assert_equivalent(query, SortMergeModel)
 
 
-class TestScalarFallback:
-    """numpy is an accelerator, never a dependency."""
+def spans_reference(graph, base, s):
+    """Set cardinality spelled out over ``Hyperedge.spans``."""
+    card = 1.0
+    for node in bitset.iter_nodes(s):
+        card *= base[node]
+    for edge in graph.edges:
+        if edge.spans(s):
+            card *= edge.selectivity
+    return max(card, 1.0)
+
+
+class TestSharedCardinality:
+    """One set-cardinality routine behind the estimator and the kernel."""
 
     @given(query=hypergraph_queries())
     @settings(**COMMON)
-    def test_no_numpy_is_identical(self, query):
-        reference, reference_stats = solve(solve_dphyp, query)
-        saved = kernel_costing._np
-        kernel_costing._np = None  # simulate `import numpy` failing
-        try:
-            coefficients = EdgeCoefficients(query.graph)
-            assert coefficients.vectorized is False
-            plan, stats = solve(solve_dphyp_kernel, query)
-        finally:
-            kernel_costing._np = saved
-        if reference is None:
-            assert plan is None
-            return
-        assert plan is not None
-        assert plan.cost == reference.cost
-        assert plan.cardinality == reference.cardinality
-        assert join_order(plan) == join_order(reference)
-        assert stats.ccp_emitted == reference_stats.ccp_emitted
+    def test_kernel_cardinalities_are_the_estimators(self, query):
+        graph = query.graph
+        builder = JoinPlanBuilder(graph, query.cardinalities)
+        solve_dphyp_kernel(graph, builder, SearchStats())
+        base = [float(c) for c in query.cardinalities]
+        assert builder.estimator.memo
+        for s, card in builder.estimator.memo.items():
+            assert card == spans_reference(graph, base, s)
 
     @given(query=simple_queries())
     @settings(**COMMON)
-    def test_vectorized_and_scalar_cardinality_agree(self, query):
-        numpy = pytest.importorskip("numpy")
-        del numpy  # only the availability matters
+    def test_estimator_matches_spans_reference(self, query):
         graph = query.graph
         base = [float(c) for c in query.cardinalities]
-        fast = EdgeCoefficients(graph, use_numpy=True)
-        slow = EdgeCoefficients(graph, use_numpy=False)
-        assert fast.vectorized is (graph.n_nodes <= 64 and bool(graph.edges))
-        assert slow.vectorized is False
-        card_fast = make_cardinality_fn(base, fast, {})
-        card_slow = make_cardinality_fn(base, slow, {})
+        estimator = SetCardinalityEstimator(graph, base)
         for s in range(1, 1 << graph.n_nodes):
-            assert card_fast(s) == card_slow(s)
+            assert estimator.cardinality(s) == spans_reference(
+                graph, base, s
+            )
 
-    def test_explicit_use_numpy_false_means_scalar(self):
-        query = random_simple_query(5, seed=7)
-        coefficients = EdgeCoefficients(query.graph, use_numpy=False)
-        assert coefficients.vectorized is False
-        assert coefficients.np_masks is None
+    def test_newly_applied_selectivity_matches_spans_reference(self):
+        query = random_hypergraph_query(
+            6, seed=3, n_hyperedges=3, max_hypernode=3, n_islands=2,
+            flex_probability=0.5,
+        )
+        graph = query.graph
+        estimator = SetCardinalityEstimator(graph, query.cardinalities)
+        full = graph.all_nodes
+        for s1 in range(1, full):
+            s2 = full & ~s1
+            expected = 1.0
+            for edge in graph.edges:
+                if (
+                    edge.spans(full)
+                    and not edge.spans(s1)
+                    and not edge.spans(s2)
+                ):
+                    expected *= edge.selectivity
+            assert estimator.newly_applied_selectivity(s1, s2) == expected

@@ -197,7 +197,8 @@ class TestQuerySpec:
         graph, _cards = spec.to_hypergraph()
         assert not graph.is_simple
         result = Optimizer().optimize(spec)
-        assert result.algorithm == "dphyp"  # complex edge rules out dpccp
+        # the kernel is auto's enumerator for hypergraphs too
+        assert result.algorithm == "dphyp-kernel"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one relation"):
@@ -357,4 +358,4 @@ class TestCapabilityGate:
 
     def test_auto_avoids_dpccp_here(self):
         result = Optimizer().optimize(self.complex_graph())
-        assert result.algorithm == "dphyp"
+        assert result.algorithm == "dphyp-kernel"

@@ -36,7 +36,7 @@ class TestDefaultPipeline:
         assert ctx.graph is query.graph
         assert ctx.resolved_cardinalities == query.cardinalities
         assert ctx.builder is not None
-        assert ctx.info.name == "dpccp"       # auto on a small chain
+        assert ctx.info.name == "dphyp-kernel"  # auto on a small chain
         assert ctx.cacheable
 
     def test_fingerprint_skipped_without_cache(self):
@@ -51,6 +51,21 @@ class TestDefaultPipeline:
         NormalizeStage()(ctx)
         DEFAULT_PIPELINE.fingerprint(ctx)
         assert ctx.key_info is None
+
+    def test_fingerprint_memoizes_literal_repeats(self):
+        query = generators.chain(6, seed=2)
+        copy = generators.chain(6, seed=2)  # equal content, new objects
+        relabeled = generators.chain(6, seed=2)
+        relabeled.graph.edges.reverse()  # same graph, other edge order
+        facade = Optimizer(OptimizerConfig(cache="on"))
+        results = facade.optimize_many([query, copy, relabeled])
+        assert facade.plan_cache.key_memo.hits == 1
+        events = [r.stats.extra["plan_cache"]["event"] for r in results]
+        assert events == ["miss", "hit", "hit"]
+        assert results[1].cost == results[0].cost
+        # edge order sets the selectivity product order: equal up to
+        # float rounding only
+        assert results[2].cost == pytest.approx(results[0].cost)
 
     def test_dispatch_runs_resolved_algorithm(self):
         query = generators.chain(4, seed=1)
