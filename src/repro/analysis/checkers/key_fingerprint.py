@@ -44,7 +44,6 @@ FINGERPRINTED_DEFINITIONS: "dict[str, tuple[str, ...]]" = {
     "cache/keys.py": (
         "CacheKeyInfo",
         "structure_bucket",
-        "KeyMemo",
         "build_cache_key",
     ),
     "core/identity.py": (

@@ -13,5 +13,5 @@ for provably semantics-neutral refactors.
 
 #: KEY_VERSION -> hex SHA-256 of the key-building AST surface
 KEY_FINGERPRINTS: "dict[int, str]" = {
-    1: "1cd5501c30f96c1c47e426ba8021fb9522263954f980cf4c4dae0624a0b51c8e",
+    1: "d3f9950761f5c207cd1e57d23cf71b88d93cc484a073260bc62a0bdbd2638478",
 }

@@ -20,10 +20,9 @@ The annotated canonical form also yields the node permutation used to
 store/replay plan recipes in canonical space (see
 :mod:`repro.cache.recipe`).
 
-Thread-safety: the functions here are pure functions of their
-arguments — no module state, no graph mutation — so keys may be built
-concurrently from any number of optimizer threads; the one stateful
-piece, :class:`KeyMemo`, guards its table with its own lock.
+Thread-safety: everything here is a pure function of its arguments —
+no module state, no graph mutation — so keys may be built concurrently
+from any number of optimizer threads.
 
 Pickle-safety: keys are nested tuples of ints, floats, and strings
 (and :class:`CacheKeyInfo` a frozen dataclass of the same), so they
@@ -38,14 +37,10 @@ replay semantics are structurally unable to be served (see
 from __future__ import annotations
 
 import hashlib
-import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..core import bitset
-from ..core.canonical import CanonicalForm
 from ..core.hypergraph import Hypergraph, payload_token
 
 #: bump when the key layout changes incompatibly (old entries must
@@ -96,86 +91,22 @@ def structure_bucket(graph: Hypergraph) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class KeyMemo:
-    """Bounded exact-repeat memo: raw labeled query -> canonical form.
-
-    Canonical labeling is most of a cache hit's cost, yet a *literal*
-    repeat — the same node order, edges and statistics, usually in a
-    new object — must label identically.  The memo is keyed by exactly
-    the inputs of the labeling: the node count, every edge's
-    ``(left, right, flex)`` bitmaps in list order, and the IEEE-754 bit
-    patterns of the node and edge colors (bits, not float equality,
-    because ``0.0 == -0.0`` yet their ``repr`` tokens differ).  So a
-    memo hit returns the form :func:`build_cache_key` would have
-    computed, and relabelings still take the canonical path.  The
-    config part of the key is not memoized, so no config field can
-    leak across.
-
-    Thread-safe (one internal lock); least-recently-used entries are
-    dropped beyond ``capacity``.  ``hits`` counts memo hits.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("memo capacity must be at least 1")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._forms: "OrderedDict[tuple, CanonicalForm]" = OrderedDict()
-        self.hits = 0
-
-    def canonical_form(
-        self,
-        graph: Hypergraph,
-        node_colors: "list[float]",
-        edge_colors: "list[float]",
-    ) -> CanonicalForm:
-        colors = node_colors + edge_colors
-        raw = (
-            graph.n_nodes,
-            tuple([(edge.left, edge.right, edge.flex) for edge in graph.edges]),
-            struct.pack(f"<{len(colors)}d", *colors),
-        )
-        with self._lock:
-            found = self._forms.get(raw)
-            if found is not None:
-                self._forms.move_to_end(raw)
-                self.hits += 1
-                return found
-        form: CanonicalForm = graph.canonical_form(
-            node_colors=node_colors, edge_colors=edge_colors
-        )
-        with self._lock:
-            self._forms[raw] = form
-            if len(self._forms) > self.capacity:
-                self._forms.popitem(last=False)
-        return form
-
-    def __len__(self) -> int:
-        return len(self._forms)
-
-
 def build_cache_key(
     graph: Hypergraph,
     cardinalities: Sequence[float],
     config_key: tuple,
-    memo: Optional[KeyMemo] = None,
 ) -> CacheKeyInfo:
     """Assemble the full cache key for one hypergraph query.
 
     ``config_key`` is :meth:`OptimizerConfig.cache_key` (already
     including the cost-model key); statistics enter through the
     annotated canonical form, with base cardinalities as node colors
-    and selectivities as edge colors.  With a ``memo``, literal
-    repeats reuse their earlier labeling (see :class:`KeyMemo`).
+    and selectivities as edge colors.
     """
-    node_colors = [float(card) for card in cardinalities]
-    edge_colors = [float(edge.selectivity) for edge in graph.edges]
-    if memo is None:
-        form = graph.canonical_form(
-            node_colors=node_colors, edge_colors=edge_colors
-        )
-    else:
-        form = memo.canonical_form(graph, node_colors, edge_colors)
+    form = graph.canonical_form(
+        node_colors=[float(card) for card in cardinalities],
+        edge_colors=[float(edge.selectivity) for edge in graph.edges],
+    )
     return CacheKeyInfo(
         key=(KEY_VERSION, form.digest, config_key),
         permutation=form.permutation,

@@ -40,8 +40,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .keys import KeyMemo
-
 #: default number of entries an :class:`Optimizer`-owned cache keeps
 DEFAULT_CAPACITY = 512
 
@@ -124,9 +122,6 @@ class PlanCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Any, CacheEntry]" = OrderedDict()
-        #: exact-repeat labeling memo for the fingerprint stage, as
-        #: large as the cache; derived data, never persisted
-        self.key_memo = KeyMemo(capacity)
         self._epoch = 0
         self.hits = 0
         self.misses = 0

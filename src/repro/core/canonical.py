@@ -122,7 +122,6 @@ def _refine(
     colors: list[int],
     edges: Sequence[tuple[NodeSet, NodeSet, NodeSet]],
     edge_ranks: Sequence[int],
-    incidence: Sequence[Sequence[int]],
 ) -> list[int]:
     """Stable color refinement; returns dense ranks per node.
 
@@ -134,6 +133,10 @@ def _refine(
     n_classes = len(set(colors))
     if n_classes == n:
         return colors
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    for position, (left, right, flex) in enumerate(edges):
+        for v in bitset.iter_nodes(left | right | flex):
+            incidence[v].append(position)
 
     def side_colors(s: NodeSet) -> tuple[int, ...]:
         return tuple(sorted(colors[u] for u in bitset.iter_nodes(s)))
@@ -218,11 +221,10 @@ def _search(
     edges: Sequence[tuple[NodeSet, NodeSet, NodeSet]],
     edge_ranks: Sequence[int],
     node_ranks: Sequence[int],
-    incidence: Sequence[Sequence[int]],
     budget: list[int],
 ) -> tuple[tuple, tuple[int, ...]]:
     """Individualization-refinement: minimal encoding + its permutation."""
-    colors = _refine(n, colors, edges, edge_ranks, incidence)
+    colors = _refine(n, colors, edges, edge_ranks)
     classes: dict[int, list[int]] = {}
     for v, color in enumerate(colors):
         classes.setdefault(color, []).append(v)
@@ -242,7 +244,7 @@ def _search(
         order = {pair: rank for rank, pair in enumerate(sorted(set(child)))}
         candidate = _search(
             n, [order[pair] for pair in child],
-            edges, edge_ranks, node_ranks, incidence, budget,
+            edges, edge_ranks, node_ranks, budget,
         )
         if best is None or candidate[0] < best[0]:
             best = candidate
@@ -304,28 +306,16 @@ def canonical_form(
 
     node_ranks, node_table = _token_ranks(node_tokens)
     edge_ranks, edge_table = _token_ranks(edge_tokens)
-    if len(set(node_ranks)) == n_nodes:
-        # distinct node colors (distinct cardinalities): the coloring
-        # is already discrete, so it is the permutation — what
-        # _search would return without refining or branching
-        perm = tuple(node_ranks)
-        encoding = _encode(n_nodes, perm, node_ranks, edges, edge_ranks)
+    try:
+        encoding, perm = _search(
+            n_nodes, list(node_ranks), edges, edge_ranks, node_ranks,
+            [budget],
+        )
         canonical = True
-    else:
-        incidence: list[list[int]] = [[] for _ in range(n_nodes)]
-        for position, (left, right, flex) in enumerate(edges):
-            for v in bitset.iter_nodes(left | right | flex):
-                incidence[v].append(position)
-        try:
-            encoding, perm = _search(
-                n_nodes, list(node_ranks), edges, edge_ranks, node_ranks,
-                incidence, [budget],
-            )
-            canonical = True
-        except _BudgetExceeded:
-            perm = tuple(range(n_nodes))
-            encoding = _encode(n_nodes, perm, node_ranks, edges, edge_ranks)
-            canonical = False
+    except _BudgetExceeded:
+        perm = tuple(range(n_nodes))
+        encoding = _encode(n_nodes, perm, node_ranks, edges, edge_ranks)
+        canonical = False
 
     payload = repr((canonical, node_table, edge_table, encoding))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()

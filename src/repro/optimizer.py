@@ -439,7 +439,6 @@ class FingerprintStage:
             ctx.graph,
             ctx.resolved_cardinalities,
             ctx.config.cache_key() + (resolved,),
-            memo=ctx.cache.key_memo,
         )
         if not ctx.key_info.canonical:
             # canonicalization hit its budget (uniform-stats cliques):

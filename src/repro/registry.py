@@ -70,10 +70,6 @@ class AlgorithmInfo:
         exact: True when the solver enumerates the full
             cross-product-free search space (greedy is the one shipped
             heuristic).
-        recommended_max_n: largest relation count at which ``auto``
-            dispatch will still pick this algorithm, ``None`` for "no
-            algorithm-specific ceiling".  This is *advisory* — explicit
-            ``algorithm="dpsub"`` etc. always runs.
         auto_priority: tie-break among eligible candidates during
             ``auto`` dispatch; highest wins, ``0`` means "never
             auto-selected" (baselines kept for measurement only).
@@ -98,7 +94,6 @@ class AlgorithmInfo:
     supports_hypergraphs: bool = True
     supports_operator_trees: bool = True
     exact: bool = True
-    recommended_max_n: Optional[int] = None
     auto_priority: int = 0
     cacheable: bool = True
     description: str = ""
@@ -110,8 +105,6 @@ class AlgorithmInfo:
             raise ValueError('"auto" is reserved for dispatch')
         if not callable(self.solver):
             raise ValueError(f"solver for {self.name!r} must be callable")
-        if self.recommended_max_n is not None and self.recommended_max_n < 1:
-            raise ValueError("recommended_max_n must be positive")
         if self.auto_priority < 0:
             raise ValueError("auto_priority must be non-negative")
 
@@ -409,7 +402,6 @@ def select_auto(
     * complex hyperedges rule out simple-graph-only solvers (DPccp);
     * above ``exact_threshold`` relations, exact enumerators are ruled
       out and the search falls back to the greedy heuristic;
-    * a solver's own ``recommended_max_n`` ceiling is honoured;
     * among the survivors the highest ``auto_priority`` wins, so the
       flat-array ``dphyp-kernel`` takes every exact inner-join query,
       simple graph or hypergraph alike, and DPhyp the operator-tree
@@ -445,8 +437,6 @@ def select_auto(
         if has_complex and not info.supports_hypergraphs:
             continue
         if from_tree and not info.supports_operator_trees:
-            continue
-        if info.recommended_max_n is not None and n > info.recommended_max_n:
             continue
         if not info.exact:
             if fallback is None or info.auto_priority > fallback.auto_priority:
@@ -520,19 +510,16 @@ register_algorithm(AlgorithmInfo(
     name="dpccp",
     solver=solve_dpccp,
     supports_hypergraphs=False,
-    recommended_max_n=10,
     description="csg-cmp-pair enumeration for simple graphs ([17])",
 ))
 register_algorithm(AlgorithmInfo(
     name="dpsize",
     solver=solve_dpsize,
-    recommended_max_n=12,
     description="size-driven DP baseline (System R generalization)",
 ))
 register_algorithm(AlgorithmInfo(
     name="dpsub",
     solver=solve_dpsub,
-    recommended_max_n=12,
     description="subset-driven DP baseline",
 ))
 register_algorithm(AlgorithmInfo(

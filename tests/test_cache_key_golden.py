@@ -11,18 +11,14 @@ change pass — a mismatch means the key layout changed.
 The graphs are built by hand (no generators, no randomness) and cover
 distinct cardinalities, tied cardinalities that force
 individualization, complex hyperedges, flex nodes and the
-budget-fallback clique.  The exact-repeat :class:`KeyMemo` is held to
-the same values.
+budget-fallback clique.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
-
 import pytest
 
-from repro.cache.keys import KEY_VERSION, KeyMemo, build_cache_key
+from repro.cache.keys import KEY_VERSION, build_cache_key
 from repro.core import bitset
 from repro.core.hypergraph import Hyperedge, Hypergraph
 
@@ -258,110 +254,27 @@ def test_golden_key_ignores_edge_order_and_sides(name):
     assert info.key[1] == GOLDEN[name][0]
 
 
-class TestKeyMemo:
-    """The exact-repeat memo must return exactly the unmemoized key."""
+def test_relabeling_shares_the_key():
+    graph, cards = chain_distinct()
+    first = build_cache_key(graph, cards, CONFIG_KEY)
+    order = [3, 5, 0, 4, 1, 2]  # new index of each old node
+    relabeled = Hypergraph(n_nodes=graph.n_nodes, edges=[
+        Hyperedge(left=1 << order[e.left.bit_length() - 1],
+                  right=1 << order[e.right.bit_length() - 1],
+                  selectivity=e.selectivity)
+        for e in graph.edges
+    ])
+    moved = [0.0] * len(cards)
+    for old, new in enumerate(order):
+        moved[new] = cards[old]
+    second = build_cache_key(relabeled, moved, CONFIG_KEY)
+    assert second.key == first.key
+    assert second.permutation != first.permutation
 
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_literal_repeat_hits_with_golden_key(self, name):
-        memo = KeyMemo(capacity=8)
-        digest, permutation, canonical = GOLDEN[name]
-        for expected_hits in (0, 1):
-            graph, cards = CASES[name]()  # a fresh object every time
-            info = build_cache_key(graph, cards, CONFIG_KEY, memo=memo)
-            assert memo.hits == expected_hits
-            assert info.key == (KEY_VERSION, digest, CONFIG_KEY)
-            assert info.permutation == permutation
-            assert info.canonical is canonical
 
-    def test_relabeling_misses_but_shares_the_key(self):
-        memo = KeyMemo(capacity=8)
-        graph, cards = chain_distinct()
-        first = build_cache_key(graph, cards, CONFIG_KEY, memo=memo)
-        order = [3, 5, 0, 4, 1, 2]  # new index of each old node
-        relabeled = Hypergraph(n_nodes=graph.n_nodes, edges=[
-            Hyperedge(left=1 << order[e.left.bit_length() - 1],
-                      right=1 << order[e.right.bit_length() - 1],
-                      selectivity=e.selectivity)
-            for e in graph.edges
-        ])
-        moved = [0.0] * len(cards)
-        for old, new in enumerate(order):
-            moved[new] = cards[old]
-        second = build_cache_key(relabeled, moved, CONFIG_KEY, memo=memo)
-        assert memo.hits == 0
-        assert second.key == first.key
-        assert second.permutation != first.permutation
-
-    def test_signed_zero_is_not_conflated(self):
-        memo = KeyMemo(capacity=8)
-        graph, _cards = two_nodes()
-        plus = build_cache_key(graph, [0.0, 10.0], CONFIG_KEY, memo=memo)
-        minus = build_cache_key(graph, [-0.0, 10.0], CONFIG_KEY, memo=memo)
-        assert memo.hits == 0
-        assert plus.key != minus.key
-        assert minus.key == build_cache_key(
-            graph, [-0.0, 10.0], CONFIG_KEY
-        ).key
-
-    def test_edges_are_part_of_the_memo_key(self):
-        memo = KeyMemo(capacity=8)
-        cards = [10.0, 20.0, 30.0, 40.0]
-        chain = _simple(4, [(0, 1), (1, 2), (2, 3)], [0.5] * 3)
-        star = _simple(4, [(0, 1), (0, 2), (0, 3)], [0.5] * 3)
-        first = build_cache_key(chain, cards, CONFIG_KEY, memo=memo)
-        second = build_cache_key(star, cards, CONFIG_KEY, memo=memo)
-        assert memo.hits == 0
-        assert first.key != second.key
-
-    def test_config_key_is_not_memoized(self):
-        memo = KeyMemo(capacity=8)
-        graph, cards = star_distinct()
-        build_cache_key(graph, cards, ("a",), memo=memo)
-        other = build_cache_key(graph, cards, ("b",), memo=memo)
-        assert memo.hits == 1
-        assert other.key[2] == ("b",)
-
-    def test_bounded_least_recently_used(self):
-        memo = KeyMemo(capacity=2)
-        for builder in (chain_distinct, cycle_distinct, star_distinct):
-            graph, cards = builder()
-            build_cache_key(graph, cards, CONFIG_KEY, memo=memo)
-        assert len(memo) == 2
-        graph, cards = chain_distinct()  # the evicted one
-        build_cache_key(graph, cards, CONFIG_KEY, memo=memo)
-        assert memo.hits == 0
-        with pytest.raises(ValueError):
-            KeyMemo(capacity=0)
-
-    def test_concurrent_use_stays_exact_and_bounded(self):
-        memo = KeyMemo(capacity=4)  # fewer slots than cases: evictions
-        # the budget-fallback clique costs 2048 branches per miss
-        names = sorted(set(CASES) - {"clique_budget_fallback"})
-        calls_per_thread = 40
-        failures = []
-
-        def worker(offset):
-            for i in range(calls_per_thread):
-                name = names[(offset + i) % len(names)]
-                graph, cards = CASES[name]()
-                info = build_cache_key(graph, cards, CONFIG_KEY, memo=memo)
-                if info.key[1] != GOLDEN[name][0]:
-                    failures.append(name)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(offset,))
-                for offset in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        assert len(memo) <= 4
-        assert memo.hits <= 8 * calls_per_thread
+def test_signed_zero_is_not_conflated():
+    # 0.0 == -0.0, but their repr tokens differ, and so do the keys
+    graph, _cards = two_nodes()
+    plus = build_cache_key(graph, [0.0, 10.0], CONFIG_KEY)
+    minus = build_cache_key(graph, [-0.0, 10.0], CONFIG_KEY)
+    assert plus.key != minus.key

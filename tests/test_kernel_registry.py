@@ -45,7 +45,7 @@ class TestRegistration:
     def test_registered_with_narrow_capabilities(self):
         info = get_algorithm("dphyp-kernel")
         assert info.supports_operator_trees is False
-        assert info.recommended_max_n is None
+        assert info.auto_priority > get_algorithm("dphyp").auto_priority
 
     def test_auto_routing_has_no_floor(self):
         # every exact inner-join size goes to the kernel; only the

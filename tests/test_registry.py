@@ -44,9 +44,6 @@ class TestAlgorithmInfo:
             AlgorithmInfo(name="x", solver="not-a-function")
 
     def test_bounds(self):
-        with pytest.raises(ValueError, match="recommended_max_n"):
-            AlgorithmInfo(name="x", solver=lambda *a: None,
-                          recommended_max_n=0)
         with pytest.raises(ValueError, match="auto_priority"):
             AlgorithmInfo(name="x", solver=lambda *a: None, auto_priority=-1)
 
