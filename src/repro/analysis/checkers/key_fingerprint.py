@@ -10,8 +10,9 @@ pre-edit entries.
 
 This checker pins the key-building surface by **AST fingerprint**: a
 SHA-256 over the docstring-stripped ``ast.dump`` of the key-defining
-functions/classes in ``repro/cache/keys.py`` and
-``repro/core/identity.py``.  The fingerprint for the current
+functions/classes in ``repro/cache/keys.py``,
+``repro/core/identity.py`` and the recipe format in
+``repro/cache/recipe.py``.  The fingerprint for the current
 ``KEY_VERSION`` is committed in
 :mod:`repro.analysis.key_fingerprints`; the check fails when
 
@@ -50,6 +51,11 @@ FINGERPRINTED_DEFINITIONS: "dict[str, tuple[str, ...]]" = {
         "PROCESS_SCOPE_MARKER",
         "process_token",
         "is_process_scoped",
+    ),
+    # a recipe is served as stored, so its format is key semantics too
+    "cache/recipe.py": (
+        "plan_recipe",
+        "replay_recipe",
     ),
 }
 

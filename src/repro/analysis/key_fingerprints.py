@@ -14,4 +14,5 @@ for provably semantics-neutral refactors.
 #: KEY_VERSION -> hex SHA-256 of the key-building AST surface
 KEY_FINGERPRINTS: "dict[int, str]" = {
     1: "d3f9950761f5c207cd1e57d23cf71b88d93cc484a073260bc62a0bdbd2638478",
+    2: "99eb750f4bab361207a732533c1cf170c280da4448cd74836c59de7c68e76d08",
 }

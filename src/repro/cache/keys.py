@@ -44,8 +44,10 @@ from ..core import bitset
 from ..core.hypergraph import Hypergraph, payload_token
 
 #: bump when the key layout changes incompatibly (old entries must
-#: never be served by code with different replay semantics)
-KEY_VERSION = 1
+#: never be served by code with different replay semantics).
+#: 2: recipes carry each join's cardinality and cost, multiplied in
+#: the estimator's labeling-invariant (value) order
+KEY_VERSION = 2
 
 
 @dataclass(frozen=True)

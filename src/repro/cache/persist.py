@@ -12,10 +12,21 @@ are stored as ``repr`` strings and parsed back with
 grammar the cache uses and, unlike ``pickle``, cannot execute code
 from a tampered or corrupt file.
 
+Integrity: a recipe's per-join floats are served as stored (see
+:mod:`repro.cache.recipe`), so a flipped digit would be a wrong cost,
+not a recomputation.  Every persisted entry therefore carries an
+:func:`entry_checksum` over its key and recipe text, verified at load;
+a mismatch drops the entry (counted and warned about) and the query is
+recomputed.  Entries holding a non-finite float (``repr(inf)`` is not
+a literal) cannot round-trip and are kept out of every persisted form
+by :func:`serialize_entry`, with a warning — never written only to
+vanish at load.
+
 Versioning discipline (see ``docs/cache.md``):
 
-* the document carries a ``format_version`` (layout of this file) and
-  the :data:`~repro.cache.keys.KEY_VERSION` under which every key was
+* the document carries a ``format_version`` (layout of this file;
+  version 2 added the per-entry ``checksum``) and the
+  :data:`~repro.cache.keys.KEY_VERSION` under which every key was
   built.  A mismatch on either rejects the whole file — old entries
   must never be served by code with different key or replay semantics;
 * the document carries the cache's statistics ``epoch`` at save time
@@ -38,7 +49,9 @@ to one path last-write-win.
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -53,7 +66,7 @@ FORMAT_NAME = "repro-plan-cache"
 
 #: bump when the *document* layout changes incompatibly (independent of
 #: KEY_VERSION, which tracks the key/recipe semantics themselves)
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CachePersistenceWarning(UserWarning):
@@ -64,7 +77,61 @@ def _warn(message: str) -> None:
     warnings.warn(message, CachePersistenceWarning, stacklevel=3)
 
 
+def _entries(count: int) -> str:
+    return f"{count} entr{'y' if count == 1 else 'ies'}"
+
+
+def warn_unpersistable(count: int, where: str) -> None:
+    """Warn that ``count`` entries were kept out of ``where``."""
+    _warn(
+        f"{where} leaves out {_entries(count)} whose plan floats are "
+        "not finite (they cannot round-trip); they stay in memory only"
+    )
+
+
+def warn_checksum_failures(count: int, where: str) -> None:
+    """Warn that ``count`` entries failed checksum verification."""
+    _warn(
+        f"{where} dropped {_entries(count)} whose checksum does not "
+        "match (corrupt key or recipe); those queries are recomputed"
+    )
+
+
 # -- serialization -----------------------------------------------------------
+
+
+def entry_checksum(key_repr: str, recipe_repr: str) -> str:
+    """Hex digest binding a persisted recipe text to its key text."""
+    payload = f"{key_repr}\n{recipe_repr}".encode("utf-8")
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+
+
+def round_trips(value: Any) -> bool:
+    """True when ``repr(value)`` parses back with ``ast.literal_eval``.
+
+    Keys and recipes are nested tuples of ints, floats and strings;
+    only a non-finite float (``inf``, ``nan``) breaks the round-trip.
+    """
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, tuple):
+        return all(round_trips(item) for item in value)
+    return True
+
+
+def serialize_entry(
+    key: Any, recipe: Any
+) -> "Optional[tuple[str, str, str]]":
+    """``(key repr, recipe repr, checksum)`` for one persisted entry.
+
+    ``None`` when the entry cannot round-trip (a non-finite float); the
+    caller counts it and warns, and the entry stays in memory only.
+    """
+    if not (round_trips(recipe) and round_trips(key)):
+        return None
+    key_repr = repr(key)
+    recipe_repr = repr(recipe)
+    return key_repr, recipe_repr, entry_checksum(key_repr, recipe_repr)
 
 
 def dump_document(cache: PlanCache) -> dict:
@@ -76,17 +143,27 @@ def dump_document(cache: PlanCache) -> dict:
     document also records the cache's ``mutations`` counter, captured
     atomically with the entries
     (:meth:`~repro.cache.plan_cache.PlanCache.snapshot_state`).
+    Entries that cannot round-trip are left out with a warning.
     """
     snapshot, epoch, mutations = cache.snapshot_state()
     entries = []
+    unpersistable = 0
     for key, entry in snapshot:
+        serialized = serialize_entry(key, entry.recipe)
+        if serialized is None:
+            unpersistable += 1
+            continue
+        key_repr, recipe_repr, checksum = serialized
         entries.append({
-            "key": repr(key),
-            "recipe": repr(entry.recipe),
+            "key": key_repr,
+            "recipe": recipe_repr,
+            "checksum": checksum,
             "epoch": entry.epoch,
             "structure": entry.structure,
             "cost": entry.cost,
         })
+    if unpersistable:
+        warn_unpersistable(unpersistable, "plan-cache document")
     return {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
@@ -194,6 +271,7 @@ def _parse_strict(document: Any, capacity: Optional[int]) -> PlanCache:
         raise ValueError("cache file 'entries' is not a list")
     items = []
     skipped = 0
+    corrupt = 0
     for raw in raw_entries:
         try:
             if raw["epoch"] != saved_epoch:
@@ -213,6 +291,11 @@ def _parse_strict(document: Any, capacity: Optional[int]) -> PlanCache:
             ):
                 skipped += 1
                 continue
+            if raw.get("checksum") != entry_checksum(
+                raw["key"], raw["recipe"]
+            ):
+                corrupt += 1
+                continue
             structure = raw.get("structure")
             cost = raw.get("cost")
         except (KeyError, TypeError, ValueError, SyntaxError,
@@ -225,6 +308,8 @@ def _parse_strict(document: Any, capacity: Optional[int]) -> PlanCache:
             f"plan-cache load skipped {skipped} stale or unparsable "
             f"entr{'y' if skipped == 1 else 'ies'}"
         )
+    if corrupt:
+        warn_checksum_failures(corrupt, "plan-cache load")
     cache.absorb(items)
     return cache
 

@@ -4,31 +4,43 @@ A cached plan cannot be a :class:`~repro.core.plans.Plan` object — the
 plan holds the *entry creator's* hyperedges, payloads, and node
 bitmaps, which are wrong for an isomorphic requester with different
 names or node order.  Instead the cache stores a **recipe**: the join
-tree as nested tuples over *canonical* node ranks (leaf = rank,
-internal node = ``(left_recipe, right_recipe)``), preserving the
+tree as nested tuples over *canonical* node ranks, preserving the
 left/right orientation chosen by the original optimization (asymmetric
-cost models price build and probe sides differently).
+cost models price build and probe sides differently):
+
+* a leaf is a canonical rank (``int``);
+* a join is ``(left_recipe, right_recipe, cardinality, cost)`` — the
+  join's own floats ride along.
 
 Replay maps each rank back through the requester's inverse canonical
-permutation and rebuilds the plan bottom-up through the requester's own
-plan builder, re-deriving connecting edges from the requester's graph.
-Cost and cardinality therefore come out exact for the requester — a
-replayed plan is bit-identical to what a fresh enumeration would have
-returned for that join order — in O(plan size) instead of an
-exponential enumeration.
+permutation and rebuilds the plan bottom-up: leaves through the
+requester's builder, joins from the stored floats and the requester's
+own ``connecting_edges`` (so edges and payloads are the requester's).
+It calls neither the cardinality estimator nor the cost model's
+``join_cost``, so a hit costs O(plan size) lookups.
+
+Serving stored floats to a *different* labeling is exact because the
+cache key pins every cardinality, selectivity, the cost model and the
+config, and :class:`~repro.cost.cardinality.SetCardinalityEstimator`
+multiplies in value order, not index order: every relabeling of a
+query computes the very same floats for corresponding plan nodes, bit
+for bit.  The recipe therefore equals what the requester's own builder
+would compute for that join order.
 
 Thread-safety: :func:`plan_recipe` and :func:`replay_recipe` are pure
 functions over their arguments; concurrent replays against one shared
 graph are safe because replay only *reads* the graph (via
 ``connecting_edges``) and builds fresh :class:`Plan` objects.
 
-Pickle-safety: a recipe is nested tuples of ints — picklable, JSON- and
-``repr``-round-trippable — which is exactly why recipes (not
-:class:`Plan` objects) are what the persistence layer writes to disk
-and what ``optimize_many(executor="process")`` workers send back to
-the parent.  Anything that widens :data:`PlanRecipe` beyond plain
-literals must keep :mod:`repro.cache.persist` and the process-pool
-protocol in sync.
+Pickle-safety: a recipe is nested tuples of ints and floats —
+picklable, JSON- and ``repr``-round-trippable as long as every float
+is finite — which is exactly why recipes (not :class:`Plan` objects)
+are what the persistence layer writes to disk and what
+``optimize_many(executor="process")`` workers send back to the parent.
+Non-finite floats (``repr(inf)`` is not a literal) are kept out of
+persistence by :func:`repro.cache.persist.serialize_entry`.  Anything
+that widens :data:`PlanRecipe` beyond plain literals must keep
+:mod:`repro.cache.persist` and the process-pool protocol in sync.
 """
 
 from __future__ import annotations
@@ -39,12 +51,12 @@ from ..core import bitset
 from ..core.hypergraph import Hypergraph
 from ..core.plans import Plan, PlanBuilder
 
-#: leaf = canonical node rank; internal = (left, right)
+#: leaf = canonical node rank; join = (left, right, cardinality, cost)
 PlanRecipe = Union[int, tuple]
 
 
 def plan_recipe(plan: Plan, permutation: Sequence[int]) -> PlanRecipe:
-    """Extract the canonical-space join tree of ``plan``.
+    """Extract the canonical-space join tree of ``plan`` with its floats.
 
     ``permutation`` maps the plan's own node indices to canonical
     ranks (from the query's :class:`~repro.core.canonical.CanonicalForm`).
@@ -54,6 +66,8 @@ def plan_recipe(plan: Plan, permutation: Sequence[int]) -> PlanRecipe:
     return (
         plan_recipe(plan.left, permutation),
         plan_recipe(plan.right, permutation),
+        plan.cardinality,
+        plan.cost,
     )
 
 
@@ -66,11 +80,14 @@ def replay_recipe(
     """Rebuild a plan from a recipe for a (possibly relabeled) query.
 
     ``inverse`` maps canonical ranks back to the requester's node
-    indices.  Each join re-derives its connecting edges from the
-    requester's graph, so payloads/selectivities are the requester's
-    own; when a builder returns several candidates for one ordered pair
-    the cheapest is kept, mirroring what the enumeration would have
-    offered to the DP table.
+    indices.  Leaves come from the requester's builder; each join
+    takes its cardinality and cost from the recipe and re-derives its
+    connecting edges from the requester's graph, so payloads and
+    selectivities are the requester's own.  Joins are inner joins
+    (operator ``"join"``): only queries planned through the default
+    :class:`~repro.core.plans.JoinPlanBuilder` are cacheable.  A
+    malformed recipe raises ``ValueError``, ``LookupError`` or
+    ``TypeError``.
     """
     if isinstance(recipe, int):
         plan = builder.leaf(inverse[recipe])
@@ -79,15 +96,15 @@ def replay_recipe(
                 f"builder produced no plan for base relation {inverse[recipe]}"
             )
         return plan
-    left = replay_recipe(recipe[0], inverse, graph, builder)
-    right = replay_recipe(recipe[1], inverse, graph, builder)
-    edges = graph.connecting_edges(left.nodes, right.nodes)
-    candidates = builder.join_ordered(left, right, edges)
-    if len(candidates) == 1:  # JoinPlanBuilder: always exactly one
-        return candidates[0]
-    if not candidates:
-        raise ValueError(
-            "cached join order is not constructible for this query "
-            "(builder returned no candidates)"
-        )
-    return min(candidates, key=lambda p: (p.cost, p.cardinality))
+    left_recipe, right_recipe, cardinality, cost = recipe
+    left = replay_recipe(left_recipe, inverse, graph, builder)
+    right = replay_recipe(right_recipe, inverse, graph, builder)
+    return Plan(
+        nodes=left.nodes | right.nodes,
+        left=left,
+        right=right,
+        operator="join",
+        edges=tuple(graph.connecting_edges(left.nodes, right.nodes)),
+        cardinality=cardinality,
+        cost=cost,
+    )

@@ -32,7 +32,13 @@ parsed back with :func:`ast.literal_eval` — never pickle — and the
 ``meta`` table stamps :data:`~repro.cache.keys.KEY_VERSION` and the
 store schema version; a mismatch on either degrades to a cold store.
 Process-scoped keys (:func:`~repro.core.identity.is_process_scoped`)
-are never written.
+are never written.  Every row carries the
+:func:`~repro.cache.persist.entry_checksum` of its key and recipe
+text: a recipe's floats are served as stored, so :meth:`PlanStore.load`
+drops a row whose checksum does not match (``checksum_failures``, with
+a warning) and the query is recomputed.  Entries whose floats cannot
+round-trip (``inf``, ``nan``) are never written
+(``rows_unpersistable``, with a warning).
 
 Epoch semantics: the store keeps its own ``epoch`` in ``meta`` and
 every entry row stamps the epoch it was fresh under.  When the
@@ -66,12 +72,12 @@ import threading
 import time
 import warnings
 import weakref
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from ..core.identity import is_process_scoped
 from . import persist
 from .keys import KEY_VERSION
-from .plan_cache import CacheDelta, PlanCache
+from .plan_cache import PlanCache
 from .store_schema import (
     CREATE_STATEMENTS,
     META_CAPACITY,
@@ -87,6 +93,9 @@ from .store_schema import (
 
 #: extensions :func:`is_store_path` treats as SQLite stores
 STORE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+
+#: one entry row: ``(key repr, recipe repr, checksum, structure, cost)``
+Row = tuple[str, str, Optional[str], Optional[str], Optional[float]]
 
 
 def is_store_path(path: str) -> bool:
@@ -122,7 +131,10 @@ class PlanStore:
     (membership drops applied by force syncs), ``syncs``,
     ``skipped_syncs`` (clean — no transaction opened),
     ``failed_syncs``, ``rebuilds`` (quarantine events),
-    ``load_skipped`` (unparsable/foreign rows).
+    ``load_skipped`` (unparsable/foreign rows), ``checksum_failures``
+    (rows dropped at load because key and recipe no longer match their
+    checksum), ``rows_unpersistable`` (entries kept out because a
+    float is not finite).
     """
 
     def __init__(
@@ -178,6 +190,8 @@ class PlanStore:
         self.failed_syncs = 0
         self.rebuilds = 0
         self.load_skipped = 0
+        self.checksum_failures = 0
+        self.rows_unpersistable = 0
         self.auto_vacuums = 0
         self._last_vacuum: Optional[float] = None
         conn, rebuilt = self._open()
@@ -436,15 +450,23 @@ class PlanStore:
                 if delta.order is not None
                 else None
             )
+            rows, unpersistable = _entry_rows(
+                entry[1:] for entry in delta.entries
+            )
             status, detail, written, expired, stale, evicted, reconciled = (
                 self._write_rows(
-                    _delta_rows(delta),
+                    rows,
                     capacity=cache.capacity,
                     bump_epoch=delta.epoch != known_epoch,
                     retain=retain,
                 )
             )
             if status == "ok":
+                if unpersistable:
+                    self.rows_unpersistable += unpersistable
+                    persist.warn_unpersistable(
+                        unpersistable, f"plan-store sync to {self.path!r}"
+                    )
                 self.rows_written += written
                 self.rows_expired += expired
                 self.rows_stale_dropped += stale
@@ -462,7 +484,7 @@ class PlanStore:
             return 0
 
     def _write_rows(
-        self, rows: "list[tuple[str, str, Optional[str], Optional[float]]]",
+        self, rows: list[Row],
         capacity: Optional[int],
         bump_epoch: bool,
         retain: "Optional[set[str]]" = None,
@@ -490,21 +512,22 @@ class PlanStore:
                 epoch += 1
             written = 0
             expires = now + self.ttl if self.ttl is not None else None
-            for key_repr, recipe_repr, structure, cost in rows:
+            for key_repr, recipe_repr, checksum, structure, cost in rows:
                 seq += 1
                 conn.execute(
-                    "INSERT INTO entries (key, recipe, epoch, structure,"
-                    " cost, size, seq, created_at, expires_at)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                    "INSERT INTO entries (key, recipe, checksum, epoch,"
+                    " structure, cost, size, seq, created_at, expires_at)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
                     " ON CONFLICT(key) DO UPDATE SET"
-                    " recipe = excluded.recipe, epoch = excluded.epoch,"
+                    " recipe = excluded.recipe,"
+                    " checksum = excluded.checksum, epoch = excluded.epoch,"
                     " structure = excluded.structure, cost = excluded.cost,"
                     " size = excluded.size, seq = excluded.seq,"
                     " created_at = excluded.created_at,"
                     " expires_at = excluded.expires_at",
                     (
-                        key_repr, recipe_repr, epoch, structure, cost,
-                        entry_size(key_repr, recipe_repr, structure),
+                        key_repr, recipe_repr, checksum, epoch, structure,
+                        cost, entry_size(key_repr, recipe_repr, structure),
                         seq, now, expires,
                     ),
                 )
@@ -685,11 +708,11 @@ class PlanStore:
 
     def _fresh_rows(
         self, conn: sqlite3.Connection, now: float
-    ) -> "list[tuple[str, str, Optional[str], Optional[float]]]":
+    ) -> list[Row]:
         """Servable rows (current epoch, unexpired), LRU-first."""
         epoch = self._meta_int(conn, META_EPOCH)
         return conn.execute(
-            "SELECT key, recipe, structure, cost FROM entries"
+            "SELECT key, recipe, checksum, structure, cost FROM entries"
             " WHERE epoch = ?"
             " AND (expires_at IS NULL OR expires_at > ?)"
             " ORDER BY seq ASC",
@@ -701,8 +724,9 @@ class PlanStore:
 
         Only rows at the current store epoch and within TTL are
         absorbed, LRU-first (the same rules the JSON loader applies);
-        unparsable or foreign rows are skipped with a warning.  The
-        returned cache is *attached*: its current state counts as
+        unparsable or foreign rows are skipped with a warning, and so
+        are rows whose checksum does not match their key and recipe.
+        The returned cache is *attached*: its current state counts as
         already persisted, so a restarted server's first all-hits batch
         triggers no write.  Never raises — any trouble degrades to a
         cold cache.
@@ -730,13 +754,22 @@ class PlanStore:
                 return PlanCache(capacity) if capacity else PlanCache()
             items = []
             skipped = 0
-            for key_repr, recipe_repr, structure, cost in rows:
+            corrupt = 0
+            for key_repr, recipe_repr, checksum, structure, cost in rows:
                 parsed = _parse_row(key_repr, recipe_repr)
                 if parsed is None:
                     skipped += 1
                     continue
+                if checksum != persist.entry_checksum(key_repr, recipe_repr):
+                    corrupt += 1
+                    continue
                 key, recipe = parsed
                 items.append((key, recipe, structure, cost))
+            if corrupt:
+                self.checksum_failures += corrupt
+                persist.warn_checksum_failures(
+                    corrupt, f"plan-store load from {self.path!r}"
+                )
             if skipped:
                 self.load_skipped += skipped
                 _warn(
@@ -789,12 +822,13 @@ class PlanStore:
                     capacity = self._meta_int(
                         conn, META_CAPACITY, capacity
                     )
-                    for key_repr, recipe_repr, structure, cost in (
+                    for key_repr, recipe_repr, checksum, structure, cost in (
                         self._fresh_rows(conn, time.time())
                     ):
                         entries.append({
                             "key": key_repr,
                             "recipe": recipe_repr,
+                            "checksum": checksum,
                             "epoch": epoch,
                             "structure": structure,
                             "cost": cost,
@@ -824,10 +858,11 @@ class PlanStore:
         rows written.
         """
         cache = persist.restore_document(document)
-        rows = [
-            (repr(key), repr(entry.recipe), entry.structure, entry.cost)
+        # a document may spell inf as the literal 1e999
+        rows, unpersistable = _entry_rows(
+            (key, entry.recipe, entry.structure, entry.cost)
             for key, entry in cache.snapshot_entries()
-        ]
+        )
         with self._lock:
             if self._conn is None:
                 return 0
@@ -839,6 +874,11 @@ class PlanStore:
                 if status == "corrupt":
                     self._rebuild_locked(detail)
                 return 0
+            if unpersistable:
+                self.rows_unpersistable += unpersistable
+                persist.warn_unpersistable(
+                    unpersistable, f"plan-store import into {self.path!r}"
+                )
             self.rows_written += written
             self.rows_expired += expired
             self.rows_stale_dropped += stale
@@ -861,6 +901,8 @@ class PlanStore:
             "failed_syncs": self.failed_syncs,
             "rebuilds": self.rebuilds,
             "load_skipped": self.load_skipped,
+            "checksum_failures": self.checksum_failures,
+            "rows_unpersistable": self.rows_unpersistable,
             "auto_vacuums": self.auto_vacuums,
             "ttl": self.ttl,
             "size_budget": self.size_budget,
@@ -874,22 +916,29 @@ class PlanStore:
 # -- delta / row helpers ------------------------------------------------------
 
 
-def _delta_rows(
-    delta: CacheDelta,
-) -> "list[tuple[str, str, Optional[str], Optional[float]]]":
-    """Serialize a delta's entries to store rows (repr text, no pickle).
+def _entry_rows(
+    entries: Iterable[tuple[Any, Any, Optional[str], Optional[float]]],
+) -> tuple[list[Row], int]:
+    """Serialize ``(key, recipe, structure, cost)`` entries to store
+    rows (repr text, no pickle).
 
-    Process-scoped keys are dropped here — their identity tokens mean
-    nothing in another process lifetime, the same exclusion
-    ``persist.save_document`` applies.
+    Returns ``(rows, unpersistable)``.  Process-scoped keys are dropped
+    here — their identity tokens mean nothing in another process
+    lifetime, the same exclusion ``persist.save_document`` applies.
+    Entries whose floats cannot round-trip are counted in
+    ``unpersistable`` and left out.
     """
-    rows = []
-    for _mutation_id, key, recipe, structure, cost in delta.entries:
-        key_repr = repr(key)
-        if is_process_scoped(key_repr):
+    rows: list[Row] = []
+    unpersistable = 0
+    for key, recipe, structure, cost in entries:
+        serialized = persist.serialize_entry(key, recipe)
+        if serialized is None:
+            unpersistable += 1
             continue
-        rows.append((key_repr, repr(recipe), structure, cost))
-    return rows
+        if is_process_scoped(serialized[0]):
+            continue
+        rows.append((*serialized, structure, cost))
+    return rows, unpersistable
 
 
 def _parse_row(

@@ -20,7 +20,10 @@ Two tables:
 ``entries``
     One row per cached plan, keyed by the ``repr`` of the cache key
     (the same ``repr``/``ast.literal_eval`` round-trip as the JSON
-    document — never pickle).  ``epoch`` stamps the store epoch the
+    document — never pickle).  ``checksum`` is
+    :func:`~repro.cache.persist.entry_checksum` of the key and recipe
+    text, verified at load (a NULL or mismatching value drops the
+    row).  ``epoch`` stamps the store epoch the
     entry was fresh under; rows whose epoch is not the current meta
     epoch are stale and skipped on load.  ``seq`` is the row's write
     sequence (recency order for LRU compaction and load ordering),
@@ -42,8 +45,8 @@ STORE_FORMAT_NAME = "repro-plan-store"
 
 #: bump when the *store* layout changes incompatibly (independent of
 #: KEY_VERSION, which tracks key/recipe semantics, and of the JSON
-#: document's FORMAT_VERSION)
-STORE_SCHEMA_VERSION = 1
+#: document's FORMAT_VERSION).  2: the ``checksum`` column
+STORE_SCHEMA_VERSION = 2
 
 #: ``meta`` keys making up the compatibility header; a missing or
 #: mismatched value rejects the whole file (cold rebuild + warning)
@@ -68,6 +71,7 @@ CREATE_STATEMENTS: "tuple[str, ...]" = (
     CREATE TABLE IF NOT EXISTS entries (
         key        TEXT PRIMARY KEY,
         recipe     TEXT NOT NULL,
+        checksum   TEXT,
         epoch      INTEGER NOT NULL,
         structure  TEXT,
         cost       REAL,

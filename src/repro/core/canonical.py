@@ -110,7 +110,19 @@ def _token_ranks(tokens: Sequence[Any]) -> tuple[list[int], tuple]:
     encoding (so the token *values* are fingerprinted, not just their
     ranks).  Returns ``(rank per token, table)``; each token's key is
     built once.
+
+    All-``float`` tokens (the cache key's cardinalities and
+    selectivities) take a fast path: with one type name, sorting the
+    distinct reprs sorts the ``("float", repr)`` keys, so the table is
+    built from them and no per-token tuple is made.  The table and the
+    ranks are identical to the general path's.
     """
+    if set(map(type, tokens)) <= {float}:
+        reprs = list(map(repr, tokens))
+        distinct = sorted(set(reprs))
+        rank_of_repr = {text: rank for rank, text in enumerate(distinct)}
+        table = tuple([("float", text) for text in distinct])
+        return [rank_of_repr[text] for text in reprs], table
     keys = [(type(t).__name__, repr(t)) for t in tokens]
     table = tuple(sorted(set(keys)))
     rank_of = {key: rank for rank, key in enumerate(table)}

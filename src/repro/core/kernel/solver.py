@@ -20,7 +20,9 @@ untouched.
 Why the costs come out bit-identical to ``dphyp`` (not merely close):
 
 * per-slot cardinality *is* the builder's ``SetCardinalityEstimator``
-  (its memo is read inline; a new set calls the estimator itself);
+  (its memo is read inline; a new set calls the estimator itself,
+  handing over the set's value-rank bitmap, which each slot carries
+  as the OR of its sides');
 * candidate costs replicate each shipped model's ``join_cost``
   expression operand-for-operand (generic models are *called*, via
   reused proxies);
@@ -96,6 +98,7 @@ class KernelDPhyp:
         slot_of: "dict[int, int]" = {}   # interned NodeSet -> slot
         costs: "list[float]" = []
         cards: "list[float]" = []
+        ranks: "list[int]" = []          # slot set in value-rank space
         lefts: "list[int]" = []          # winning left set (0 = leaf)
         rights: "list[int]" = []
         leaves: "list[Plan]" = []        # node -> leaf plan, for phase 2
@@ -134,7 +137,7 @@ class KernelDPhyp:
             cost_right = costs[right]
             union_card = card_cache.get(u)
             if union_card is None:
-                union_card = card_of(u)
+                union_card = card_of(u, ranks[left] | ranks[right])
             # Candidate costs replicate the shipped models' join_cost
             # operand order exactly; see the module docstring.
             if kind == KIND_COUT:
@@ -194,6 +197,7 @@ class KernelDPhyp:
                     lefts.append(s1)
                     rights.append(s2)
                 cards.append(union_card)
+                ranks.append(ranks[left] | ranks[right])
             else:
                 best = costs[current]
                 if cost1 < best:
@@ -220,12 +224,14 @@ class KernelDPhyp:
         # S2).  Each candidate then costs one or two bitmap operations.
         _ekey, simple_adj, _incident, complex_edge_list = graph._edge_index()
 
+        rank_bits = estimator.rank_bits
         for node in range(n):
             leaf = builder.leaf(node)  # JoinPlanBuilder: never None
             slot_of[1 << node] = len(costs)
             leaves.append(leaf)
             costs.append(leaf.cost)
             cards.append(leaf.cardinality)
+            ranks.append(rank_bits[node])
             lefts.append(0)
             rights.append(0)
 

@@ -24,12 +24,16 @@ joins".
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 from . import bitset
 from .bitset import NodeSet
 from .hypergraph import Hyperedge, Hypergraph
 from .stats import SearchStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cost.cardinality import SetCardinalityEstimator
 
 
 class Plan:
@@ -167,7 +171,6 @@ class JoinPlanBuilder(PlanBuilder):
         cost_model=None,
         stats: Optional[SearchStats] = None,
     ) -> None:
-        from ..cost.cardinality import SetCardinalityEstimator
         from ..cost.models import CoutModel  # local import to avoid cycle
 
         if len(cardinalities) != graph.n_nodes:
@@ -176,12 +179,22 @@ class JoinPlanBuilder(PlanBuilder):
         self.cardinalities = list(cardinalities)
         self.cost_model = cost_model if cost_model is not None else CoutModel()
         self.stats = stats if stats is not None else SearchStats()
-        # Cardinality is computed per relation *set* (memoized), not per
-        # connecting-edge list: an edge can become fully contained in
-        # S1 | S2 without connecting S1 to S2 (e.g. ({a,b},{c}) when
-        # S1 = {a,c}), and its selectivity must still be applied exactly
-        # once for the estimate to be join-order invariant.
-        self.estimator = SetCardinalityEstimator(graph, self.cardinalities)
+
+    @cached_property
+    def estimator(self) -> "SetCardinalityEstimator":
+        """The set-cardinality routine, built on first use.
+
+        Cardinality is computed per relation *set* (memoized), not per
+        connecting-edge list: an edge can become fully contained in
+        S1 | S2 without connecting S1 to S2 (e.g. ({a,b},{c}) when
+        S1 = {a,c}), and its selectivity must still be applied exactly
+        once for the estimate to be join-order invariant.  A plan-cache
+        hit replays stored floats and never touches it, so it is not
+        built up front.
+        """
+        from ..cost.cardinality import SetCardinalityEstimator
+
+        return SetCardinalityEstimator(self.graph, self.cardinalities)
 
     def leaf(self, node: int) -> Plan:
         card = float(self.cardinalities[node])

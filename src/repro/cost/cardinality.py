@@ -15,7 +15,8 @@ execution-engine sanity tests.
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from ..core.bitset import NodeSet
 from ..core.hypergraph import Hypergraph
@@ -78,10 +79,25 @@ class SetCardinalityEstimator:
     are memoized in :attr:`memo` (``set -> cardinality``, read-only for
     callers; the kernel probes it inline before calling
     :meth:`cardinality`).  The estimator is the reference the property
-    tests compare incremental plan cardinalities against.  The edge
-    list is read once, at construction, into ``(node mask,
-    selectivity)`` pairs, so "edge spanned by the set" is one bitmap
-    test per edge.
+    tests compare incremental plan cardinalities against.
+
+    **Labeling invariance.**  Float products round differently when
+    their operands are reordered, so the operand order is fixed by
+    *value*, not by position: base cardinalities multiply in ascending
+    value order, then selectivities in ascending value order.  Equal
+    values are interchangeable in a product, so any relabeling of the
+    nodes, reordering of the edge list, or swap of hyperedge sides
+    yields bit-identical floats for corresponding sets.  The plan
+    cache relies on this: it stores each join's floats in the recipe
+    and serves them to every isomorphic requester.
+
+    Both orders are fixed once, at construction.  The edge list
+    becomes ``(node mask, selectivity)`` pairs sorted by selectivity,
+    so "edge spanned by the set" stays one bitmap test per edge.  Each
+    node gets a bit in value-rank space (:attr:`rank_bits`), and a
+    product walks only the set's own bits in that space.  Callers that
+    cannot carry a set's ranked bitmap get it from per-byte remap
+    tables, built on first need.
     """
 
     def __init__(
@@ -91,44 +107,66 @@ class SetCardinalityEstimator:
             raise ValueError("need one cardinality per node")
         self.graph = graph
         self.base = [float(c) for c in base_cardinalities]
-        self._edges = [(edge.nodes, edge.selectivity) for edge in graph.edges]
+        by_value = sorted(range(graph.n_nodes), key=self.base.__getitem__)
+        #: base cardinalities in ascending value order
+        self._ranked_base = [self.base[node] for node in by_value]
+        #: node -> its bit in value-rank space; a set's *ranked* bitmap
+        #: is the OR over its nodes (see :meth:`cardinality`)
+        self.rank_bits = [0] * graph.n_nodes
+        for rank, node in enumerate(by_value):
+            self.rank_bits[node] = 1 << rank
+        #: per byte of a node set: byte value -> ranked bitmap; built
+        #: on the first call that has to remap a set itself
+        self._rank_tables: Optional[list[list[int]]] = None
+        self._edges = sorted(
+            ((edge.nodes, edge.selectivity) for edge in graph.edges),
+            key=itemgetter(1),
+        )
         self.memo: dict[NodeSet, float] = {}
 
-    def cardinality(self, s: NodeSet) -> float:
+    def cardinality(self, s: NodeSet, ranked: Optional[int] = None) -> float:
+        """Cardinality of relation set ``s`` (memoized).
+
+        ``ranked`` is ``s`` in value-rank space, for callers that
+        already hold it: the flat-array kernel keeps one per DP slot
+        (a union's is the OR of its sides'), so it never remaps.
+        """
         if s == 0:
             raise ValueError("cardinality of the empty set is undefined")
         cached = self.memo.get(s)
         if cached is not None:
             return cached
-        # Fixed operand order (nodes ascending, then edges-list order):
-        # float products round differently when reordered, and cached
-        # plans must replay to the very same cost.
+        if ranked is None:
+            tables = self._rank_tables
+            if tables is None:
+                tables = self._rank_tables = self._build_rank_tables()
+            ranked = 0
+            rest = s
+            for table in tables:
+                ranked |= table[rest & 0xFF]
+                rest >>= 8
         card = 1.0
-        remaining = s
-        base = self.base
-        while remaining:
-            low = remaining & -remaining
+        base = self._ranked_base
+        while ranked:
+            low = ranked & -ranked
             card *= base[low.bit_length() - 1]
-            remaining ^= low
+            ranked ^= low
+        outside = ~s
         for mask, selectivity in self._edges:
-            if mask & s == mask:
+            if not mask & outside:  # the edge is spanned by s
                 card *= selectivity
         # One-row clamp, applied at the *set* level so the estimate
         # remains a pure function of the relation set (order-invariant).
-        card = max(card, 1.0)
+        if card < 1.0:
+            card = 1.0
         self.memo[s] = card
         return card
 
-    def newly_applied_selectivity(self, s1: NodeSet, s2: NodeSet) -> float:
-        """Product of selectivities of edges that span ``s1 | s2`` but
-        neither side alone — the factor applied by the joining node."""
-        union = s1 | s2
-        selectivity = 1.0
-        for mask, edge_selectivity in self._edges:
-            if (
-                mask & union == mask
-                and mask & s1 != mask
-                and mask & s2 != mask
-            ):
-                selectivity *= edge_selectivity
-        return selectivity
+    def _build_rank_tables(self) -> list[list[int]]:
+        tables: list[list[int]] = []
+        for first in range(0, len(self.rank_bits), 8):
+            table = [0]
+            for bit in self.rank_bits[first:first + 8]:
+                table += [entry | bit for entry in table]
+            tables.append(table)
+        return tables

@@ -451,8 +451,9 @@ class FingerprintStage:
 class CacheStage:
     """Stages 3a/3b: cache lookup before dispatch, store after.
 
-    A hit replays the cached canonical recipe through the requesting
-    query's own builder (exact costs, names, and payloads — see
+    A hit replays the cached canonical recipe onto the requesting
+    query: the stored per-join floats plus the requester's own leaves,
+    edges and names, with no estimator or cost-model call (see
     :mod:`repro.cache.recipe`); a stale entry (older statistics epoch)
     is recomputed and refreshed, surfacing as a ``"revalidated"``
     event.
@@ -1171,9 +1172,9 @@ class Optimizer:
         query when the cache is off) are groups of one.
 
         The parent then absorbs the batch in input order, replaying
-        each recipe through the requesting query's own builder — exact
-        costs and names, and the *shared* cache evolves exactly as in
-        a serial thread-backend run: a group's leader replays the
+        each recipe onto the requesting query — the worker's floats,
+        the requester's names — and the *shared* cache evolves exactly
+        as in a serial thread-backend run: a group's leader replays the
         worker's identity-space recipe and stores it, and each
         follower's counted lookup hits that entry.  A follower whose
         entry is already gone (evicted inside the batch) dispatches
@@ -1392,8 +1393,11 @@ def _process_worker_run(task: "tuple[Any, str]") -> dict:
     result under.  The payload is *not* the plan (a worker's Plan holds
     its own graph objects, useless to the parent) but the join tree as
     an identity-space recipe — nested tuples over the query's own node
-    indices — plus the worker's search statistics.  The parent replays
-    the recipe through the requesting query's builder for exact costs.
+    indices, carrying each join's cardinality and cost — plus the
+    worker's search statistics.  The parent replays the recipe onto the
+    requesting query; the floats are the ones the parent's own builder
+    would compute, since the worker optimized the same bytes under the
+    same config.
     """
     query, algorithm = task
     config: OptimizerConfig = _WORKER_STATE["config"]

@@ -36,6 +36,10 @@ class BackgroundServer:
         self._started = threading.Event()
         self._start_error: Optional[BaseException] = None
         self._start_timeout = start_timeout
+        #: created on the loop thread in :meth:`_serve`; :meth:`stop`
+        #: sets it through the loop
+        self._stop_requested: Optional[asyncio.Event] = None
+        self._drain_timeout = 10.0
         self.server = PlanServer(config, **server_kwargs)
         self._thread = threading.Thread(
             target=self._run, name="plan-server", daemon=True
@@ -55,8 +59,19 @@ class BackgroundServer:
             self._start_error = exc
             self._started.set()
             raise
+        stop_requested = self._stop_requested = asyncio.Event()
         self._started.set()
-        await self.server.serve_forever()
+        serving = asyncio.ensure_future(self.server.serve_forever())
+        stopping = asyncio.ensure_future(stop_requested.wait())
+        await asyncio.wait(
+            (serving, stopping), return_when=asyncio.FIRST_COMPLETED
+        )
+        # The loop thread owns the shutdown: either stop() asked for it,
+        # or a client's shutdown op already ran it and this call
+        # returns at once (shutdown is idempotent).
+        await self.server.shutdown(drain_timeout=self._drain_timeout)
+        stop_requested.set()
+        await asyncio.gather(serving, stopping)
 
     @property
     def address(self) -> "tuple[str, int]":
@@ -73,18 +88,21 @@ class BackgroundServer:
         return self
 
     def stop(self, drain_timeout: float = 10.0) -> None:
-        """Graceful shutdown; safe to call twice."""
-        if not self._thread.is_alive():
+        """Graceful shutdown; safe to call twice.
+
+        Only signals the loop thread, which runs the shutdown itself:
+        after a client-initiated ``shutdown`` the loop may already be
+        leaving ``run_until_complete``, and a coroutine submitted to
+        it from here would never run.
+        """
+        stop_requested = self._stop_requested
+        if stop_requested is None or not self._thread.is_alive():
             return
+        self._drain_timeout = drain_timeout
         try:
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(drain_timeout=drain_timeout), self._loop
-            )
-            future.result(timeout=drain_timeout + 5.0)
-        except Exception:
-            # a client-initiated shutdown may already be closing the
-            # loop; the thread join below is the real teardown barrier
-            pass
+            self._loop.call_soon_threadsafe(stop_requested.set)
+        except RuntimeError:
+            pass  # the loop already closed: the thread is finishing
         self._thread.join(timeout=drain_timeout + 5.0)
 
     def __enter__(self) -> "BackgroundServer":

@@ -50,6 +50,7 @@ from multiprocessing import shared_memory
 from typing import Any, Optional
 
 from ..cache.keys import KEY_VERSION
+from ..cache.persist import round_trips
 from ..cache.plan_cache import CacheDelta, PlanCache
 from ..core.identity import is_process_scoped
 
@@ -168,7 +169,10 @@ class HotTierPublisher:
                 self._epoch = delta.epoch
             for row in delta.entries:
                 mutation_id, key = row[0], row[1]
-                if is_process_scoped(repr(key)):
+                if is_process_scoped(repr(key)) or not round_trips(row):
+                    # process-scoped keys mean nothing to a reader; a
+                    # non-finite float would fail the reader's
+                    # literal_eval and void the whole snapshot
                     self.rows_skipped += 1
                     continue
                 body = repr(tuple(row)).encode("utf-8")

@@ -28,6 +28,7 @@ from repro.analysis.checkers.key_fingerprint import (
     read_key_version,
 )
 from repro.analysis.framework import PACKAGE_ROOT
+from repro.cache.keys import KEY_VERSION
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "analysis_fixtures"
@@ -204,6 +205,7 @@ class TestKeyFingerprint:
         (root / "cache").mkdir(parents=True)
         (root / "core").mkdir()
         shutil.copy(PACKAGE_ROOT / "cache" / "keys.py", root / "cache")
+        shutil.copy(PACKAGE_ROOT / "cache" / "recipe.py", root / "cache")
         shutil.copy(PACKAGE_ROOT / "core" / "identity.py", root / "core")
         return root
 
@@ -218,7 +220,7 @@ class TestKeyFingerprint:
         root = self.make_tree(tmp_path)
         digest, problems = compute_fingerprint(root)
         assert problems == []
-        assert self.check(root, {1: digest}) == []
+        assert self.check(root, {KEY_VERSION: digest}) == []
 
     def test_edited_key_builder_without_bump_fails(self, tmp_path):
         root = self.make_tree(tmp_path)
@@ -230,7 +232,21 @@ class TestKeyFingerprint:
                 "key=(KEY_VERSION, form.digest, config_key, 'extra'),",
             )
         )
-        findings = self.check(root, {1: digest})
+        findings = self.check(root, {KEY_VERSION: digest})
+        assert len(findings) == 1
+        assert "bump KEY_VERSION" in findings[0].message
+
+    def test_edited_recipe_format_without_bump_fails(self, tmp_path):
+        root = self.make_tree(tmp_path)
+        digest, _ = compute_fingerprint(root)
+        recipe = root / "cache" / "recipe.py"
+        recipe.write_text(
+            recipe.read_text().replace(
+                "        plan.cardinality,\n        plan.cost,\n",
+                "        plan.cost,\n        plan.cardinality,\n",
+            )
+        )
+        findings = self.check(root, {KEY_VERSION: digest})
         assert len(findings) == 1
         assert "bump KEY_VERSION" in findings[0].message
 
@@ -244,16 +260,19 @@ class TestKeyFingerprint:
                 '"""Rewritten docs.  # and a comment-looking string',
             )
         )
-        assert self.check(root, {1: digest}) == []
+        assert self.check(root, {KEY_VERSION: digest}) == []
 
     def test_bump_without_recording_fails(self, tmp_path):
         root = self.make_tree(tmp_path)
         digest, _ = compute_fingerprint(root)
         keys = root / "cache" / "keys.py"
         keys.write_text(
-            keys.read_text().replace("KEY_VERSION = 1", "KEY_VERSION = 2")
+            keys.read_text().replace(
+                f"KEY_VERSION = {KEY_VERSION}",
+                f"KEY_VERSION = {KEY_VERSION + 1}",
+            )
         )
-        findings = self.check(root, {1: digest})
+        findings = self.check(root, {KEY_VERSION: digest})
         assert len(findings) == 1
         assert "records no" in findings[0].message
 

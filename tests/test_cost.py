@@ -164,10 +164,3 @@ class TestSetCardinalityEstimator:
         estimator = SetCardinalityEstimator(triangle_graph, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             estimator.cardinality(0)
-
-    def test_newly_applied_selectivity(self, triangle_graph):
-        estimator = SetCardinalityEstimator(triangle_graph, [10.0] * 3)
-        # joining {0,1} with {2} newly applies edges 1-2 and 2-0
-        assert estimator.newly_applied_selectivity(0b011, 0b100) == (
-            pytest.approx(0.2 * 0.3)
-        )

@@ -24,6 +24,7 @@ import warnings
 import pytest
 
 from repro.cache import (
+    KEY_VERSION,
     CachePersistenceWarning,
     PlanCache,
     PlanStore,
@@ -42,7 +43,7 @@ def make_cache(entries=3, capacity=16) -> PlanCache:
     cache = PlanCache(capacity)
     for i in range(entries):
         cache.store(
-            (1, f"digest-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
+            (KEY_VERSION, f"digest-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
             (i, (0, 1)),
             structure=f"bucket-{i % 2}",
             cost=float(i),
@@ -117,11 +118,11 @@ class TestRoundTrip:
         # MRU tail survives: the two *most recently used* entries
         assert len(small) == 2
         entry, status = small.probe(
-            (1, "digest-5", ("auto", "hyperedges", ("m", "q"), 14))
+            (KEY_VERSION, "digest-5", ("auto", "hyperedges", ("m", "q"), 14))
         )
         assert status == "hit" and entry.cost == 5.0
         _entry, status = small.probe(
-            (1, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
+            (KEY_VERSION, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
         )
         assert status == "miss"
 
@@ -170,13 +171,13 @@ class TestStaleness:
     def test_mixed_fresh_and_stale_entries(self, tmp_path):
         cache = make_cache(entries=2)
         cache.bump_epoch()
-        cache.store((1, "fresh", ("auto",)), (0, 1), cost=1.0)
+        cache.store((KEY_VERSION, "fresh", ("auto",)), (0, 1), cost=1.0)
         path = str(tmp_path / "plans.json")
         save(cache, path)
         with pytest.warns(CachePersistenceWarning):
             loaded = load(path)
         assert len(loaded) == 1
-        _entry, status = loaded.probe((1, "fresh", ("auto",)))
+        _entry, status = loaded.probe((KEY_VERSION, "fresh", ("auto",)))
         assert status == "hit"
 
     def test_loaded_entries_fresh_at_target_epoch(self, tmp_path):
@@ -211,12 +212,14 @@ class TestCorruption:
         '{"format": "something-else"}',       # foreign file
         '{"format": "repro-plan-cache"}',     # missing versions
         json.dumps({                          # entries is not a list
-            "format": "repro-plan-cache", "format_version": 1,
+            "format": "repro-plan-cache",
+            "format_version": persist.FORMAT_VERSION,
             "key_version": persist.KEY_VERSION, "epoch": 0,
             "capacity": 4, "entries": 17,
         }),
         json.dumps({                          # capacity is garbage
-            "format": "repro-plan-cache", "format_version": 1,
+            "format": "repro-plan-cache",
+            "format_version": persist.FORMAT_VERSION,
             "key_version": persist.KEY_VERSION, "epoch": 0,
             "capacity": {"x": 1}, "entries": [],
         }),
@@ -228,7 +231,7 @@ class TestCorruption:
         with pytest.warns(CachePersistenceWarning):
             cache = load(path)
         assert len(cache) == 0
-        cache.store((1, "x", ()), 0)  # and it is a working cache
+        cache.store((KEY_VERSION, "x", ()), 0)  # and it is a working cache
         assert len(cache) == 1
 
     def test_unparsable_entry_skipped_not_fatal(self, tmp_path):

@@ -47,7 +47,7 @@ def make_cache(entries=3, capacity=16) -> PlanCache:
     cache = PlanCache(capacity)
     for i in range(entries):
         cache.store(
-            (1, f"digest-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
+            (KEY_VERSION, f"digest-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
             (i, (0, 1)),
             structure=f"bucket-{i % 2}",
             cost=float(i),
@@ -114,7 +114,7 @@ class TestRoundTrip:
             small = store.load(capacity=2)
         assert len(small) == 2
         survivor, status = small.probe(
-            (1, "digest-5", ("auto", "hyperedges", ("m", "q"), 14))
+            (KEY_VERSION, "digest-5", ("auto", "hyperedges", ("m", "q"), 14))
         )
         assert status == "hit" and survivor.recipe == (5, (0, 1))
 
@@ -137,7 +137,7 @@ class TestIncrementalWrites:
             assert store.sync_from(cache) == 50
             for i in range(3):
                 cache.store(
-                    (1, f"late-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
+                    (KEY_VERSION, f"late-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
                     (100 + i, (0, 1)),
                 )
             # mutation-cursor accounting: exactly k rows, not O(cache)
@@ -153,7 +153,7 @@ class TestIncrementalWrites:
             conn = store._conn
             before = conn.total_changes
             cache.store(
-                (1, "one-more", ("auto", "hyperedges", ("m", "q"), 14)),
+                (KEY_VERSION, "one-more", ("auto", "hyperedges", ("m", "q"), 14)),
                 (999, (0, 1)),
             )
             store.sync_from(cache)
@@ -178,7 +178,7 @@ class TestIncrementalWrites:
             # a row big enough to need fresh pages once the file is
             # capped at its current size
             cache.store(
-                (1, "pending", ("auto", "hyperedges", ("m", "q"), 14)),
+                (KEY_VERSION, "pending", ("auto", "hyperedges", ("m", "q"), 14)),
                 (7, (0, 1)),
                 structure="x" * 262144,
             )
@@ -197,7 +197,7 @@ class TestIncrementalWrites:
         cache = make_cache(entries=4, capacity=4)
         with PlanStore(store_path(tmp_path)) as store:
             store.sync_from(cache)
-            evictor = (1, "evictor", ("auto", "hyperedges", ("m", "q"), 14))
+            evictor = (KEY_VERSION, "evictor", ("auto", "hyperedges", ("m", "q"), 14))
             cache.store(evictor, (99, (0, 1)))
             assert cache.evictions == 1
             assert store.sync_from(cache) == 1
@@ -217,7 +217,7 @@ class TestIncrementalWrites:
             writer.sync_from(cache)
             assert len(reader.load()) == 3
             cache.store(
-                (1, "another", ("auto", "hyperedges", ("m", "q"), 14)),
+                (KEY_VERSION, "another", ("auto", "hyperedges", ("m", "q"), 14)),
                 (7, (0, 1)),
             )
             writer.sync_from(cache)
@@ -245,7 +245,7 @@ class TestTTL:
         cache = make_cache(entries=1)
         with PlanStore(store_path(tmp_path), ttl=1000.0) as store:
             store.sync_from(cache)
-            key = (1, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
+            key = (KEY_VERSION, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
             cache.store(key, (0, (0, 1)))  # refresh the same key
             store.sync_from(cache)
             # the refresh moved created_at/expires_at forward
@@ -277,12 +277,12 @@ class TestSizeBudget:
             assert store.rows_evicted > 0
             # the newest entry always survives
             newest, status = remaining.probe(
-                (1, "digest-19", ("auto", "hyperedges", ("m", "q"), 14))
+                (KEY_VERSION, "digest-19", ("auto", "hyperedges", ("m", "q"), 14))
             )
             assert status == "hit" and newest.recipe == (19, (0, 1))
             # the oldest went first
             gone, status = remaining.probe(
-                (1, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
+                (KEY_VERSION, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
             )
             assert status == "miss"
 
@@ -292,7 +292,7 @@ class TestSizeBudget:
             cache = PlanCache(64)
             for i in range(50):
                 cache.store(
-                    (1, f"flood-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
+                    (KEY_VERSION, f"flood-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
                     (i, (0, 1)),
                 )
                 store.sync_from(cache)
@@ -305,7 +305,7 @@ def bulky_cache(entries=60, payload=2000) -> PlanCache:
     cache = PlanCache(entries + 8)
     for i in range(entries):
         cache.store(
-            (1, f"bulky-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
+            (KEY_VERSION, f"bulky-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
             (i, "x" * payload),
             structure=f"bucket-{i % 2}",
             cost=float(i),
@@ -393,7 +393,7 @@ class TestForceReconciliation:
         assert len(survivors) == 2
         for i in (1, 3):
             entry, status = survivors.probe(
-                (1, f"digest-{i}", ("auto", "hyperedges", ("m", "q"), 14))
+                (KEY_VERSION, f"digest-{i}", ("auto", "hyperedges", ("m", "q"), 14))
             )
             assert status == "hit" and entry.recipe == (i, (0, 1))
 
@@ -409,7 +409,7 @@ class TestForceReconciliation:
 
     def test_force_sync_reconciles_replay_failure_drop(self, tmp_path):
         cache = make_cache(entries=3)
-        doomed = (1, "digest-1", ("auto", "hyperedges", ("m", "q"), 14))
+        doomed = (KEY_VERSION, "digest-1", ("auto", "hyperedges", ("m", "q"), 14))
         with PlanStore(store_path(tmp_path)) as store:
             store.sync_from(cache)
             cache.probe(doomed)
@@ -421,11 +421,11 @@ class TestForceReconciliation:
 
     def test_force_sync_reconciles_lru_eviction(self, tmp_path):
         cache = make_cache(entries=4, capacity=4)
-        evicted = (1, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
+        evicted = (KEY_VERSION, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
         with PlanStore(store_path(tmp_path)) as store:
             store.sync_from(cache)
             cache.store(
-                (1, "evictor", ("auto", "hyperedges", ("m", "q"), 14)),
+                (KEY_VERSION, "evictor", ("auto", "hyperedges", ("m", "q"), 14)),
                 (99, (0, 1)),
             )
             assert store.sync_from(cache, force=True) == 1
@@ -454,7 +454,7 @@ class TestForceReconciliation:
 
         path = store_path(tmp_path)
         config = OptimizerConfig(cache="on", cache_path=path)
-        doomed = (1, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
+        doomed = (KEY_VERSION, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
         with BackgroundServer(config) as daemon:
             cache = daemon.server.cache  # thread-safe by contract
             for key, entry in make_cache(entries=3).snapshot_entries():
@@ -487,7 +487,7 @@ class TestCacheIdentity:
             gc.collect()
             fresh = PlanCache(16)
             fresh.store(
-                (1, "newcomer", ("auto", "hyperedges", ("m", "q"), 14)),
+                (KEY_VERSION, "newcomer", ("auto", "hyperedges", ("m", "q"), 14)),
                 (0, (0, 1)),
             )
             # fresh.mutations (1) is far behind the dead cache's
@@ -504,14 +504,14 @@ class TestEpochs:
             store.sync_from(cache)
             cache.bump_epoch()
             cache.store(
-                (1, "fresh", ("auto", "hyperedges", ("m", "q"), 14)),
+                (KEY_VERSION, "fresh", ("auto", "hyperedges", ("m", "q"), 14)),
                 (42, (0, 1)),
             )
             store.sync_from(cache)
             loaded = store.load()
         assert len(loaded) == 1
         entry, status = loaded.probe(
-            (1, "fresh", ("auto", "hyperedges", ("m", "q"), 14))
+            (KEY_VERSION, "fresh", ("auto", "hyperedges", ("m", "q"), 14))
         )
         assert status == "hit" and entry.recipe == (42, (0, 1))
 
@@ -661,7 +661,7 @@ class TestInterchange:
         """Stale-epoch rows are what a loader would skip, so the
         interchange document leaves them out."""
         cache = make_cache(entries=3)
-        fresh = (1, "fresh", ("auto", "hyperedges", ("m", "q"), 14))
+        fresh = (KEY_VERSION, "fresh", ("auto", "hyperedges", ("m", "q"), 14))
         with PlanStore(store_path(tmp_path)) as store:
             store.sync_from(cache)
             cache.bump_epoch()

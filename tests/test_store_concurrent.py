@@ -22,7 +22,7 @@ import multiprocessing
 import time
 import traceback
 
-from repro.cache import PlanCache, PlanStore
+from repro.cache import KEY_VERSION, PlanCache, PlanStore
 
 WRITERS = 3
 READERS = 2
@@ -31,7 +31,7 @@ CAPACITY = 1024
 
 
 def _writer_key(writer: int, i: int):
-    return (1, f"writer-{writer}-{i}", ("auto", "hyperedges", ("m", "q"), 14))
+    return (KEY_VERSION, f"writer-{writer}-{i}", ("auto", "hyperedges", ("m", "q"), 14))
 
 
 def _writer_recipe(writer: int, i: int):
@@ -69,7 +69,7 @@ def _reader_proc(path, reader, deadline, queue):
             for key, entry in cache.snapshot_entries():
                 # every visible entry is a committed writer entry with
                 # the exact recipe its writer produced
-                assert isinstance(key, tuple) and key[0] == 1
+                assert isinstance(key, tuple) and key[0] == KEY_VERSION
                 tag = key[1]
                 assert tag.startswith("writer-"), tag
                 _, w, i = tag.split("-")
@@ -159,7 +159,7 @@ def test_same_process_thread_safety(tmp_path):
             cache = PlanCache(CAPACITY)
             for i in range(20):
                 cache.store(
-                    (1, f"t{thread_id}-{i}",
+                    (KEY_VERSION, f"t{thread_id}-{i}",
                      ("auto", "hyperedges", ("m", "q"), 14)),
                     (thread_id, (i, i)),
                 )
@@ -184,7 +184,7 @@ def test_same_process_thread_safety(tmp_path):
     for t in range(4):
         for i in range(20):
             entry, status = final.probe(
-                (1, f"t{t}-{i}", ("auto", "hyperedges", ("m", "q"), 14))
+                (KEY_VERSION, f"t{t}-{i}", ("auto", "hyperedges", ("m", "q"), 14))
             )
             assert status == "hit"
             assert entry.recipe == (t, (i, i))

@@ -11,11 +11,14 @@ and never serves a stale or mangled key.  The scenarios:
 * torn writes — a slice of the file body overwritten with garbage;
 * the file replaced entirely with non-SQLite bytes;
 * a full disk, simulated with ``PRAGMA max_page_count``;
-* a size budget far too small for the working set.
+* a size budget far too small for the working set;
+* a recipe float flipped on disk (the row checksum drops it), and a
+  plan whose floats are not finite (kept out of the store visibly).
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import signal
 import sqlite3
@@ -26,10 +29,13 @@ import time
 import pytest
 
 from repro.cache import (
+    KEY_VERSION,
     CachePersistenceWarning,
     PlanCache,
     PlanStore,
+    persist,
 )
+from repro.core.hypergraph import Hypergraph
 from repro.optimizer import Optimizer, OptimizerConfig
 from repro.workloads import generators
 from repro.workloads.repeated import repeated_workload
@@ -39,7 +45,7 @@ def make_cache(entries=3, capacity=16) -> PlanCache:
     cache = PlanCache(capacity)
     for i in range(entries):
         cache.store(
-            (1, f"digest-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
+            (KEY_VERSION, f"digest-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
             (i, (0, 1)),
             structure=f"bucket-{i % 2}",
             cost=float(i),
@@ -58,13 +64,13 @@ def seeded_store(path, entries=5) -> None:
 WRITER_SCRIPT = """
 import sqlite3, sys, time
 sys.path.insert(0, {src!r})
-from repro.cache import PlanCache, PlanStore
+from repro.cache import KEY_VERSION, PlanCache, PlanStore
 
 path = {path!r}
 cache = PlanCache(16)
 for i in range(4):
     cache.store(
-        (1, f"committed-{{i}}", ("auto", "hyperedges", ("m", "q"), 14)),
+        (KEY_VERSION, f"committed-{{i}}", ("auto", "hyperedges", ("m", "q"), 14)),
         (i, (0, 1)),
     )
 store = PlanStore(path)
@@ -76,7 +82,7 @@ conn.execute(
     "INSERT INTO entries"
     " (key, recipe, epoch, structure, cost, size, seq, created_at)"
     " VALUES (?, ?, 1, NULL, NULL, 64, 999, 0.0)",
-    (repr((1, "torn", ())), repr((9, (0, 1)))),
+    (repr((KEY_VERSION, "torn", ())), repr((9, (0, 1)))),
 )
 print("READY", flush=True)
 time.sleep(60)
@@ -110,11 +116,11 @@ class TestKilledWriter:
         assert len(loaded) == 4  # the committed batch, nothing less
         for i in range(4):
             entry, status = loaded.probe(
-                (1, f"committed-{i}", ("auto", "hyperedges", ("m", "q"), 14))
+                (KEY_VERSION, f"committed-{i}", ("auto", "hyperedges", ("m", "q"), 14))
             )
             assert status == "hit"
             assert entry.recipe == (i, (0, 1))
-        gone, status = loaded.probe((1, "torn", ()))
+        gone, status = loaded.probe((KEY_VERSION, "torn", ()))
         assert status == "miss"
 
     def test_store_stays_writable_after_recovery(self, tmp_path):
@@ -135,7 +141,7 @@ class TestKilledWriter:
                     proc.wait()
         with PlanStore(path) as store:
             cache = store.load()
-            cache.store((1, "after", ("auto", "hyperedges", ("m", "q"), 14)),
+            cache.store((KEY_VERSION, "after", ("auto", "hyperedges", ("m", "q"), 14)),
                         (42, (0, 1)))
             assert store.sync_from(cache) == 1
             assert len(store.load()) == 5
@@ -173,7 +179,7 @@ class TestCorruptFiles:
         # entry is not
         assert len(loaded) in (0, 8)
         for key, entry in loaded.snapshot_entries():
-            assert isinstance(key, tuple) and key[0] == 1
+            assert isinstance(key, tuple) and key[0] == KEY_VERSION
             assert isinstance(entry.recipe, tuple)
         store.close()
 
@@ -209,7 +215,7 @@ class TestCorruptFiles:
         with open(path, "r+b") as handle:
             handle.write(b"\x00" * 100)
         store._conn = sqlite3.connect(path)  # reattach to the wreck
-        cache.store((1, "next", ("auto", "hyperedges", ("m", "q"), 14)),
+        cache.store((KEY_VERSION, "next", ("auto", "hyperedges", ("m", "q"), 14)),
                     (7, (0, 1)))
         with pytest.warns(CachePersistenceWarning):
             store.sync_from(cache)
@@ -303,7 +309,7 @@ class TestDiskPressure:
         # cap the file at its current size, then demand fresh pages
         store._conn.execute("PRAGMA max_page_count=1")
         cache.store(
-            (1, "big", ("auto", "hyperedges", ("m", "q"), 14)),
+            (KEY_VERSION, "big", ("auto", "hyperedges", ("m", "q"), 14)),
             (9, (0, 1)),
             structure="y" * 262144,
         )
@@ -326,7 +332,7 @@ class TestDiskPressure:
             cache = PlanCache(64)
             for i in range(40):
                 cache.store(
-                    (1, f"burst-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
+                    (KEY_VERSION, f"burst-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
                     (i, (0, 1)),
                 )
                 store.sync_from(cache)
@@ -347,7 +353,7 @@ class TestDiskPressure:
         store._conn.execute("PRAGMA max_page_count=1")
         # a bulky pending entry guarantees the flush needs fresh pages
         optimizer.plan_cache.store(
-            (1, "bulky", ("auto", "hyperedges", ("m", "q"), 14)),
+            (KEY_VERSION, "bulky", ("auto", "hyperedges", ("m", "q"), 14)),
             (0, (0, 1)),
             structure="z" * 262144,
         )
@@ -356,6 +362,114 @@ class TestDiskPressure:
                 repeated_workload(generators.clique(9, seed=6), 2)
             )
         assert all(r.plan is not None for r in results)
+
+
+class TestStoredFloats:
+    """Recipes carry each join's floats and a hit serves them as stored,
+    so a persisted float must never be served wrong: corruption and
+    non-finite floats both end in a recomputation."""
+
+    @staticmethod
+    def oracle_cost(query):
+        oracle = Optimizer(algorithm="dphyp-recursive", cache="off")
+        return oracle.optimize(query).cost
+
+    @staticmethod
+    def flip_root_cost_digit(recipe_text):
+        """The recipe text with the root cost's first decimal changed:
+        still a well-formed recipe, just a wrong float."""
+        cost_text = repr(ast.literal_eval(recipe_text)[3])
+        position = recipe_text.rindex(cost_text) + cost_text.index(".") + 1
+        digit = str((int(recipe_text[position]) + 1) % 10)
+        return recipe_text[:position] + digit + recipe_text[position + 1:]
+
+    def test_flipped_digit_in_a_stored_float_is_recomputed(self, tmp_path):
+        path = str(tmp_path / "plans.sqlite")
+        query = generators.chain(6, seed=3)
+        first = Optimizer(OptimizerConfig(cache="on", cache_path=path))
+        first.optimize_many([query])
+        first._store.close()
+
+        conn = sqlite3.connect(path)
+        (key_text, recipe_text), = conn.execute(
+            "SELECT key, recipe FROM entries"
+        ).fetchall()
+        conn.execute(
+            "UPDATE entries SET recipe = ? WHERE key = ?",
+            (self.flip_root_cost_digit(recipe_text), key_text),
+        )
+        conn.commit()
+        conn.close()
+
+        second = Optimizer(OptimizerConfig(cache="on", cache_path=path))
+        with pytest.warns(CachePersistenceWarning, match="checksum"):
+            result = second.optimize(query)
+        assert result.stats.extra["plan_cache"]["event"] == "miss"
+        assert result.cost == self.oracle_cost(query)
+        assert second._store.checksum_failures == 1
+        second._store.close()
+
+    def test_flipped_digit_in_a_json_document_is_recomputed(self, tmp_path):
+        query = generators.chain(6, seed=3)
+        optimizer = Optimizer(cache="on")
+        optimizer.optimize(query)
+        document = persist.dump_document(optimizer.plan_cache)
+        entry = document["entries"][0]
+        entry["recipe"] = self.flip_root_cost_digit(entry["recipe"])
+        with pytest.warns(CachePersistenceWarning, match="checksum"):
+            restored = persist.restore_document(document)
+        assert len(restored) == 0
+
+    def test_imported_infinite_literal_is_kept_out_visibly(self, tmp_path):
+        # 1e999 is a literal that parses to inf, and repr(inf) is not
+        key_text = repr((KEY_VERSION, "overflow", ("auto",)))
+        recipe_text = "(0, 1, 1e999, 1e999)"
+        document = {
+            "format": persist.FORMAT_NAME,
+            "format_version": persist.FORMAT_VERSION,
+            "key_version": KEY_VERSION,
+            "epoch": 0,
+            "capacity": 4,
+            "entries": [{
+                "key": key_text,
+                "recipe": recipe_text,
+                "checksum": persist.entry_checksum(key_text, recipe_text),
+                "epoch": 0,
+                "structure": None,
+                "cost": None,
+            }],
+        }
+        with PlanStore(str(tmp_path / "plans.sqlite")) as store:
+            with pytest.warns(CachePersistenceWarning, match="not finite"):
+                assert store.import_document(document) == 0
+            assert store.rows_unpersistable == 1
+            assert store.entry_count() == 0
+
+    def test_infinite_cost_is_kept_out_visibly(self, tmp_path):
+        path = str(tmp_path / "plans.sqlite")
+        graph = Hypergraph(n_nodes=3)
+        graph.add_simple_edge(0, 1, selectivity=0.5)
+        graph.add_simple_edge(1, 2, selectivity=0.5)
+        # the join product overflows: every plan costs inf
+        query = generators.Query(graph, [1e200, 1e200, 1e200])
+        oracle = self.oracle_cost(query)
+        assert oracle == float("inf")
+
+        first = Optimizer(OptimizerConfig(cache="on", cache_path=path))
+        with pytest.warns(CachePersistenceWarning, match="not finite"):
+            first.optimize_many([query])
+        assert first._store.rows_unpersistable == 1
+        assert first._store.entry_count() == 0
+        with pytest.warns(CachePersistenceWarning, match="not finite"):
+            document = persist.dump_document(first.plan_cache)
+        assert document["entries"] == []
+        first._store.close()
+
+        second = Optimizer(OptimizerConfig(cache="on", cache_path=path))
+        result = second.optimize(query)
+        assert result.stats.extra["plan_cache"]["event"] == "miss"
+        assert result.cost == oracle
+        second._store.close()
 
 
 class warnings_or_none:

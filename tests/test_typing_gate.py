@@ -1,8 +1,9 @@
 """The strict-typing gate.
 
 The annotated surface (``repro/cache/*``, ``core/identity``,
-``core/canonical``, ``registry``, ``optimizer``) must pass mypy with
-the per-module strictness configured in ``pyproject.toml``.  When mypy
+``core/canonical``, ``cost/cardinality``, ``registry``, ``optimizer``)
+must pass mypy with the per-module strictness configured in
+``pyproject.toml``.  When mypy
 is not installed (the CI ``mypy`` job installs it; the base test image
 does not) the subprocess test skips, but the cheap structural checks —
 the ``py.typed`` marker, its package-data entry, and full annotation
@@ -23,6 +24,7 @@ GATED_MODULES = [
     *sorted((PACKAGE / "cache").glob("*.py")),
     PACKAGE / "core" / "identity.py",
     PACKAGE / "core" / "canonical.py",
+    PACKAGE / "cost" / "cardinality.py",
     PACKAGE / "registry.py",
     PACKAGE / "optimizer.py",
 ]
