@@ -26,7 +26,7 @@ Four knobs measured here:
 
 import pytest
 
-from repro.core.dphyp import DPhyp
+from repro.core.kernel import DPhyp
 from repro.core.dphyp_recursive import DPhypRecursive
 from repro.core.plans import JoinPlanBuilder
 from repro.cost.models import CoutModel, HashJoinModel, MinOfModel

@@ -63,7 +63,7 @@ def main(argv=None) -> int:
     sub.add_parser(
         "regression",
         help="time the chain/cycle/star hot path (--tier kernel for "
-             "the 30-60 relation dphyp-kernel suite), emit BENCH_*.json",
+             "the 30-60 relation suite), emit BENCH_*.json",
     )
     sub.add_parser(
         "throughput",

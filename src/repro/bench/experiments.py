@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..optimizer import Optimizer, OptimizerConfig
+from ..core.kernel import DPhyp
 from ..workloads import generators, hyper
 from ..workloads.nonreorderable import cycle_outerjoin_tree, star_antijoin_tree
 from .harness import ExperimentResult, Series, measure_algorithm, measure_tree, scaled
@@ -216,23 +216,26 @@ def fig8b_outerjoins(n: Optional[int] = None, **_kwargs) -> ExperimentResult:
     )
 
 
+def _dphyp_without_memo(graph, builder, stats):
+    """DPhyp with neighborhood memoization off (ablation variant)."""
+    return DPhyp(graph, builder, stats, memoize_neighborhoods=False).run()
+
+
 def ablation_dphyp(n: Optional[int] = None, **_kwargs) -> ExperimentResult:
     """DPhyp implementation knobs on star queries (repo ablation).
 
     Not a figure of the paper: this positions the repo's own hot-path
-    choices — iterative traversal (``dphyp``), neighborhood
-    memoization (off in ``dphyp-nomemo``, expressed as a configured
-    :class:`repro.Optimizer`), and the seed-faithful recursive
-    baseline (``dphyp-recursive``) — on the star shape whose
-    neighborhood count grows fastest.
+    choices — DPhyp (``dphyp``), neighborhood memoization (off in
+    ``dphyp-nomemo``, the solver constructed with the setting
+    directly), and the seed-faithful recursive baseline
+    (``dphyp-recursive``) — on the star shape whose neighborhood count
+    grows fastest.
     """
     top = n if n is not None else scaled(12, 10)
     x_values = list(range(4, top + 1))
     variants = [
         ("dphyp", "dphyp"),
-        ("dphyp-nomemo", Optimizer(OptimizerConfig(
-            algorithm="dphyp", memoize_neighborhoods=False
-        ))),
+        ("dphyp-nomemo", _dphyp_without_memo),
         ("dphyp-recursive", "dphyp-recursive"),
     ]
     series = [Series(label=label) for label, _solver in variants]
@@ -249,7 +252,7 @@ def ablation_dphyp(n: Optional[int] = None, **_kwargs) -> ExperimentResult:
         x_values=x_values,
         series=series,
         notes=(
-            "repo ablation (not a paper figure): iterative vs. "
+            "repo ablation (not a paper figure): DPhyp vs. "
             "memoization-off vs. seed recursive baseline"
         ),
     )

@@ -84,9 +84,9 @@ def measure_algorithm(
     ``algorithm`` is a registry name (resolved through the
     capability-aware registry and run via the :class:`repro.Optimizer`
     facade — the same code path users take), a pre-configured
-    :class:`repro.Optimizer` instance (knob variants, e.g. DPhyp with
-    memoization disabled), or a solver callable ``(graph, builder,
-    stats) -> plan`` directly for unregistered experiments.
+    :class:`repro.Optimizer` instance, or a solver callable ``(graph,
+    builder, stats) -> plan`` directly for unregistered experiments
+    (e.g. DPhyp with memoization disabled).
     """
     if isinstance(algorithm, (str, Optimizer)):
         if isinstance(algorithm, str):

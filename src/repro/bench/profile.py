@@ -8,20 +8,21 @@ registration ``auto`` resolved to.  It gives:
 * top-N hot functions (by own time) straight from :mod:`cProfile`;
 * per-phase totals, bucketing every profiled function into the
   optimizer's three phases by source path — **search** (enumeration:
-  ``core/dphyp*``, ``core/kernel``, neighborhoods, bitsets, the DP
-  table), **materialize** (plan construction in ``core/plans``) and
+  ``core/kernel`` (DPhyp), ``core/dphyp_recursive``, neighborhoods,
+  bitsets, the DP table), **materialize** (plan construction in ``core/plans``) and
   **costing** (``repro/cost/*``) — plus ``other`` for the facade and
   anything else.
 
 Phase totals sum *own* time (``tottime``), not cumulative time, so the
 three buckets are disjoint and add up to the run's total: a function's
 callees are charged to their own bucket.  This is what makes the split
-honest for the kernel, whose search loop calls into costing closures.
+honest for DPhyp's flat-array offer, whose search loop calls into
+costing closures.
 
 Usage::
 
     PYTHONPATH=src python -m repro.bench profile --workload chain --n 12
-    PYTHONPATH=src python -m repro.bench profile --algorithm dphyp-kernel \
+    PYTHONPATH=src python -m repro.bench profile --algorithm dphyp-recursive \
         --workload clique --n 10 --top 15 --json
 """
 
@@ -44,7 +45,7 @@ WORKLOAD_SHAPES = {
 }
 
 #: source-path fragments mapped onto optimizer phases, first match
-#: wins (order matters: kernel costing is costing, not search)
+#: wins (order matters: DPhyp's inline costing is costing, not search)
 PHASE_PATTERNS = (
     ("costing", "/repro/cost/"),
     ("costing", "/repro/core/kernel/costing"),

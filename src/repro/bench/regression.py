@@ -3,8 +3,8 @@
 Unlike the figure/table drivers in :mod:`repro.bench.experiments`
 (which reproduce the paper's evaluation), this harness exists to give
 the *repository* a performance trajectory: it times the optimizer hot
-path on the chain/cycle/star shapes, compares the iterative DPhyp
-against the preserved seed-faithful recursive baseline
+path on the chain/cycle/star shapes, compares DPhyp against the
+preserved seed-faithful recursive baseline
 (:mod:`repro.core.dphyp_recursive`), and emits a stable JSON document
 (``BENCH_*.json``) that future changes can diff against.
 
@@ -12,7 +12,7 @@ Usage::
 
     PYTHONPATH=src python -m repro.bench regression --out BENCH_new.json
     PYTHONPATH=src python -m repro.bench regression --tier kernel \
-        --min-speedup 2 --out BENCH_kernel.json
+        --min-speedup 2.75 --out BENCH_kernel.json
     PYTHONPATH=src python benchmarks/bench_regression.py --max-n 6
 
 Sizes honour the same knobs as the experiment drivers
@@ -35,24 +35,21 @@ from .harness import measure_algorithm, scaled
 #: bump when the JSON layout changes incompatibly
 SCHEMA_VERSION = 1
 
-#: algorithms timed per workload: the iterative hot path and the
-#: seed-faithful recursive baseline it must beat
-DEFAULT_ALGORITHMS = ("dphyp", "dphyp-recursive")
+#: algorithms timed per workload, on every tier: the hot path and the
+#: seed-faithful recursive oracle it must beat, which builds a Plan per
+#: candidate and scans the full edge list per connectivity test
+ALGORITHMS = ("dphyp", "dphyp-recursive")
 
-#: the large-n tier pits the flat-array kernel against the Plan-per-
-#: candidate hot path it reimplements
-KERNEL_ALGORITHMS = ("dphyp", "dphyp-kernel")
+#: (baseline, contender) pair the ``speedups`` map reports
+SPEEDUP_PAIR = ("dphyp-recursive", "dphyp")
+
+#: workload tiers: the chain/cycle/star suite and the large-n suite
+TIERS = ("default", "kernel")
 
 #: ``--min-speedup`` applies only to kernel-tier workloads at least
-#: this many relations wide — the kernel's constant-factor win needs
-#: room; tiny clamped CI runs should not fail the gate on noise
+#: this many relations wide — the flat-array win needs room; tiny
+#: clamped CI runs should not fail the gate on noise
 KERNEL_GATE_MIN_N = 30
-
-#: per-tier (baseline, contender) pair the ``speedups`` map reports
-TIER_SPEEDUP_PAIR = {
-    "default": ("dphyp-recursive", "dphyp"),
-    "kernel": ("dphyp", "dphyp-kernel"),
-}
 
 #: top-level keys every regression document must carry
 REQUIRED_KEYS = ("schema_version", "label", "python", "workloads", "speedups")
@@ -93,7 +90,7 @@ def default_workloads(max_n: Optional[int] = None) -> list:
 
 
 def kernel_workloads(max_n: Optional[int] = None) -> list:
-    """The large-n tier where ``dphyp-kernel`` must earn its keep.
+    """The large-n tier where DPhyp's flat-array offer must earn its keep.
 
     Chains and cycles run at 30–60 relations (where the
     ``--min-speedup`` gate applies, see :data:`KERNEL_GATE_MIN_N`);
@@ -137,22 +134,20 @@ def run_regression(
 ) -> dict:
     """Measure one regression tier and return the JSON document.
 
-    ``tier="default"`` is the historical chain/cycle/star suite
-    (dphyp vs dphyp-recursive); ``tier="kernel"`` is the large-n suite
-    from :func:`kernel_workloads` (dphyp-kernel vs dphyp).  Both emit
-    the same schema; the tier is recorded in the document.
+    ``tier="default"`` is the historical chain/cycle/star suite;
+    ``tier="kernel"`` is the large-n suite from
+    :func:`kernel_workloads`.  Both time dphyp against dphyp-recursive
+    and emit the same schema; the tier is recorded in the document.
     """
-    if tier not in TIER_SPEEDUP_PAIR:
+    if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}")
     if algorithms is None:
-        algorithms = (
-            KERNEL_ALGORITHMS if tier == "kernel" else DEFAULT_ALGORITHMS
-        )
+        algorithms = ALGORITHMS
     tier_workloads = (
         kernel_workloads(max_n) if tier == "kernel"
         else default_workloads(max_n)
     )
-    baseline_name, contender_name = TIER_SPEEDUP_PAIR[tier]
+    baseline_name, contender_name = SPEEDUP_PAIR
     workloads = []
     speedups = {}
     for shape, query in tier_workloads:
@@ -307,21 +302,17 @@ def _time_ratio(current: dict, baseline: dict) -> Optional[float]:
     """Slowdown factor of dphyp vs the baseline document.
 
     Normalized by another algorithm's in-document time when both
-    documents measured one (so CI hardware differences cancel out) —
-    ``dphyp-recursive`` on the default tier, ``dphyp-kernel`` on the
-    kernel tier; raw milliseconds only when no shared reference exists.
+    documents measured ``dphyp-recursive`` (so CI hardware differences
+    cancel out); raw milliseconds only when no shared reference exists.
     """
     cur = current.get("dphyp")
     base = baseline.get("dphyp")
     if not cur or not base or not cur["ms"] or not base["ms"]:
         return None
-    for reference in ("dphyp-recursive", "dphyp-kernel"):
-        cur_ref = current.get(reference)
-        base_ref = baseline.get(reference)
-        if cur_ref and base_ref and cur_ref["ms"] and base_ref["ms"]:
-            return (cur["ms"] / cur_ref["ms"]) / (
-                base["ms"] / base_ref["ms"]
-            )
+    cur_ref = current.get("dphyp-recursive")
+    base_ref = baseline.get("dphyp-recursive")
+    if cur_ref and base_ref and cur_ref["ms"] and base_ref["ms"]:
+        return (cur["ms"] / cur_ref["ms"]) / (base["ms"] / base_ref["ms"])
     return cur["ms"] / base["ms"]
 
 
@@ -332,30 +323,31 @@ def kernel_gate_problems(document: dict, min_speedup: float) -> list[str]:
     measured within the *same* run:
 
     * every workload that timed both algorithms must report exactly
-      equal ``cost`` and ``ccp`` — the kernel's whole contract is
+      equal ``cost`` and ``ccp`` — DPhyp's contract with its oracle is
       bit-identical plans over an identical search space;
     * on workloads of at least :data:`KERNEL_GATE_MIN_N` relations,
-      ``dphyp-kernel`` must beat ``dphyp`` by ``min_speedup``.
+      ``dphyp`` must beat ``dphyp-recursive`` by ``min_speedup``.
     """
     problems: list[str] = []
     gated = 0
     for entry in document["workloads"]:
         shape = entry["workload"]
-        base = entry["results"].get("dphyp")
-        new = entry["results"].get("dphyp-kernel")
+        base = entry["results"].get("dphyp-recursive")
+        new = entry["results"].get("dphyp")
         if not base or not new:
             problems.append(
-                f"{shape}: gate needs both dphyp and dphyp-kernel measured"
+                f"{shape}: gate needs both dphyp-recursive and dphyp "
+                "measured"
             )
             continue
         if new["cost"] != base["cost"]:
             problems.append(
-                f"{shape}: dphyp-kernel cost {new['cost']!r} != dphyp "
-                f"{base['cost']!r} (kernel must be bit-identical)"
+                f"{shape}: dphyp cost {new['cost']!r} != dphyp-recursive "
+                f"{base['cost']!r} (must be bit-identical)"
             )
         if new["ccp"] != base["ccp"]:
             problems.append(
-                f"{shape}: dphyp-kernel ccp {new['ccp']} != dphyp "
+                f"{shape}: dphyp ccp {new['ccp']} != dphyp-recursive "
                 f"{base['ccp']} (search space drift)"
             )
         if entry["n_relations"] < KERNEL_GATE_MIN_N:
@@ -364,7 +356,7 @@ def kernel_gate_problems(document: dict, min_speedup: float) -> list[str]:
         speedup = base["ms"] / new["ms"] if new["ms"] else float("inf")
         if speedup < min_speedup:
             problems.append(
-                f"{shape}: dphyp-kernel speedup {speedup:.2f}x < "
+                f"{shape}: dphyp speedup {speedup:.2f}x < "
                 f"required {min_speedup}x"
             )
     if not gated:
@@ -412,14 +404,14 @@ def main(argv=None) -> int:
         "--out", help="write the JSON document to this path", default=None
     )
     parser.add_argument(
-        "--tier", choices=sorted(TIER_SPEEDUP_PAIR), default="default",
+        "--tier", choices=TIERS, default="default",
         help="workload tier: 'default' (chain/cycle/star, dphyp vs "
              "dphyp-recursive) or 'kernel' (30-60 relation large-n "
-             "suite, dphyp-kernel vs dphyp)",
+             "suite, same pair)",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=None, metavar="FACTOR",
-        help="kernel tier only: fail unless dphyp-kernel beats dphyp "
+        help="kernel tier only: fail unless dphyp beats dphyp-recursive "
              "by this factor on every workload of at least "
              f"{KERNEL_GATE_MIN_N} relations (cost/ccp equality is "
              "always enforced)",

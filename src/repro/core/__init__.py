@@ -3,12 +3,12 @@
 from .bitset import NodeSet
 from .canonical import CanonicalForm, canonical_form
 from .dpccp import DPccp, solve_dpccp
-from .dphyp import DPhyp, solve_dphyp
 from .dphyp_recursive import DPhypRecursive, solve_dphyp_recursive
 from .dpsize import solve_dpsize
 from .dpsub import solve_dpsub
 from .dptable import DPTable
 from .greedy import solve_greedy
+from .kernel import DPhyp, solve_dphyp
 from .hypergraph import (
     DisconnectedGraphError,
     Hyperedge,

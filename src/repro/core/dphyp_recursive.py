@@ -1,16 +1,16 @@
 """Reference recursive DPhyp — the seed implementation, preserved.
 
-:mod:`repro.core.dphyp` now runs the ``Enumerate*Rec`` routines with an
-explicit stack; this module keeps the original recursion (one Python
-call per grown subgraph, exactly as in the paper's pseudocode) for two
-purposes:
+:class:`repro.core.kernel.DPhyp` runs the ``Enumerate*Rec`` routines
+with an explicit stack; this module keeps the original recursion (one
+Python call per grown subgraph, exactly as in the paper's pseudocode)
+for two purposes:
 
 * **correctness oracle** — ``tests/test_dphyp_iterative.py`` asserts
-  that the iterative solver emits the exact same sequence of
-  csg-cmp-pairs as this reference on random hypergraphs, and
+  that DPhyp emits the exact same sequence of csg-cmp-pairs as this
+  reference on random hypergraphs and compiled operator trees, and
 * **performance baseline** — ``benchmarks/bench_regression.py`` and the
-  ``ablation-dphyp`` experiment time both implementations so the
-  iterative rewrite's win stays measured, not assumed.
+  ``ablation-dphyp`` experiment time both implementations so DPhyp's
+  win stays measured, not assumed.
 
 To represent the seed faithfully, neighborhood memoization defaults to
 *off* here (the seed recomputed ``N(S, X)`` from scratch on every
@@ -20,7 +20,7 @@ call), and the connectivity tests scan the full edge list with
 index that the current :class:`~repro.core.hypergraph.Hypergraph`
 builds.  Subsumption minimization keeps its seed default of on.  Apart
 from that, behaviour is identical — including the deviation from the
-published pseudocode documented in :mod:`repro.core.dphyp` (excluding
+published pseudocode documented in :mod:`repro.core.kernel.solver` (excluding
 smaller neighbors when seeding complements).
 
 Do not use this in new code paths; it caps tractable query sizes at

@@ -1,16 +1,15 @@
-"""Inline cost evaluation for the kernel search.
+"""Inline cost evaluation for DPhyp's flat-array offer.
 
-The kernel's inner loop prices a candidate join with a handful of
+The flat-array offer prices a candidate join with a handful of
 float operations instead of Plan construction plus cost-model method
 dispatch.  :func:`classify_model` maps the builder's cost model onto
 an inline-evaluation kind once per solve, so the search loop prices
 candidates without a method call for every shipped model.
 
-Set cardinalities need no kernel-specific code: the search reads them
-from the builder's own :class:`~repro.cost.cardinality.
+Set cardinalities need no code of their own here: the offer reads
+them from the builder's own :class:`~repro.cost.cardinality.
 SetCardinalityEstimator` (one routine and one memo, shared with the
-phase-2 rebuild), which is what makes them bit-identical to
-``dphyp``'s.
+rebuild), which is what makes them bit-identical to the plan offer's.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ class PlanProxy:
     instead of building throwaway plans.  It carries every attribute a
     cost model may reasonably consult (``cost``, ``cardinality``,
     ``nodes``); models that inspect plan *structure* (children, edges)
-    cannot be priced slot-wise and should run through ``dphyp``
-    instead.
+    cannot be priced slot-wise: give them a ``JoinPlanBuilder``
+    subclass, which DPhyp serves with its plan offer.
     """
 
     __slots__ = ("nodes", "cardinality", "cost")

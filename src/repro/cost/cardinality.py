@@ -74,10 +74,10 @@ class SetCardinalityEstimator:
 
     ``cardinality(S)`` = product of base cardinalities of ``S`` times
     the selectivities of all hyperedges spanned by ``S``.  It is the
-    one set-cardinality routine: ``JoinPlanBuilder`` and the flat-array
-    kernel both price through it, so they agree bit for bit.  Results
-    are memoized in :attr:`memo` (``set -> cardinality``, read-only for
-    callers; the kernel probes it inline before calling
+    one set-cardinality routine: ``JoinPlanBuilder`` and DPhyp's
+    flat-array offer both price through it, so they agree bit for bit.
+    Results are memoized in :attr:`memo` (``set -> cardinality``,
+    read-only for callers; the flat offer probes it inline before calling
     :meth:`cardinality`).  The estimator is the reference the property
     tests compare incremental plan cardinalities against.
 
@@ -128,7 +128,7 @@ class SetCardinalityEstimator:
         """Cardinality of relation set ``s`` (memoized).
 
         ``ranked`` is ``s`` in value-rank space, for callers that
-        already hold it: the flat-array kernel keeps one per DP slot
+        already hold it: DPhyp's flat-array offer keeps one per DP slot
         (a union's is the OR of its sides'), so it never remaps.
         """
         if s == 0:

@@ -11,19 +11,18 @@ One front door for every query representation the package understands:
   the workload generators.
 
 Construct :class:`Optimizer` once with an :class:`OptimizerConfig`
-(cost model, algorithm name or ``"auto"``, DPhyp knobs,
-disconnected-graph policy), then call :meth:`Optimizer.optimize` per
-query or :meth:`Optimizer.optimize_many` for batches.  Every path
+(cost model, algorithm name or ``"auto"``, disconnected-graph
+policy), then call :meth:`Optimizer.optimize` per query or
+:meth:`Optimizer.optimize_many` for batches.  Every path
 returns the same :class:`OptimizationResult`, which carries the plan,
 search statistics, the resolved algorithm, relation names, and the
 ``.explain()`` / ``.to_dict()`` conveniences.
 
 ``algorithm="auto"`` dispatches per the paper's guidance using the
-capability metadata in :mod:`repro.registry`: the flat-array DPhyp
-kernel for every exact inner-join query (complex hyperedges included),
-DPhyp for operator trees, and the greedy heuristic beyond
-``exact_threshold`` relations, where exhaustive enumeration stops
-being a sensible default.
+capability metadata in :mod:`repro.registry`: DPhyp for every exact
+query (inner joins, complex hyperedges and operator trees alike), and
+the greedy heuristic beyond ``exact_threshold`` relations, where
+exhaustive enumeration stops being a sensible default.
 
 The legacy entry points — :func:`repro.api.optimize` and
 :func:`repro.algebra.pipeline.optimize_operator_tree` — are thin
@@ -57,7 +56,6 @@ from .cache import (
 )
 from .cache import persist
 from .cache.store import STORE_SUFFIXES, PlanStore, is_store_path
-from .core.dphyp import DPhyp, solve_dphyp
 from .core.hypergraph import (
     DisconnectedGraphError,
     Hyperedge,
@@ -505,21 +503,7 @@ class DispatchStage:
     """Stage 4: run the resolved algorithm (cache miss path)."""
 
     def __call__(self, ctx: PipelineContext) -> Optional[Plan]:
-        config = ctx.config
-        info = ctx.info
-        # Keyed on solver identity, not the name: a replacement
-        # registered under "dphyp" must win over the knob shortcut.
-        if info.solver is solve_dphyp and not (
-            config.minimize_neighborhoods and config.memoize_neighborhoods
-        ):
-            return DPhyp(
-                ctx.graph,
-                ctx.builder,
-                ctx.stats,
-                minimize_neighborhoods=config.minimize_neighborhoods,
-                memoize_neighborhoods=config.memoize_neighborhoods,
-            ).run()
-        return info.solver(ctx.graph, ctx.builder, ctx.stats)
+        return ctx.info.solver(ctx.graph, ctx.builder, ctx.stats)
 
 
 class FinalizeStage:
@@ -634,10 +618,6 @@ class OptimizerConfig:
         exact_threshold: largest relation count at which ``"auto"``
             still dispatches to an exact enumerator; beyond it the
             greedy heuristic is selected.
-        minimize_neighborhoods / memoize_neighborhoods: the DPhyp
-            work-saving knobs (both correctness-neutral, both default
-            on); honoured whenever the resolved algorithm is
-            ``"dphyp"``.
         cache: plan-cache policy — ``"auto"`` (default: off for
             single :meth:`Optimizer.optimize` calls, on for
             :meth:`Optimizer.optimize_many` batches), ``"on"``
@@ -700,8 +680,6 @@ class OptimizerConfig:
     default_cardinality: float = 10.0
     on_disconnected: str = "raise"
     exact_threshold: int = 14
-    minimize_neighborhoods: bool = True
-    memoize_neighborhoods: bool = True
     cache: str = "auto"
     cache_size: int = DEFAULT_CAPACITY
     cache_path: Optional[str] = None
@@ -723,9 +701,6 @@ class OptimizerConfig:
         "default_cardinality",
         # applied to the graph before fingerprinting
         "on_disconnected",
-        # correctness-neutral DPhyp work-saving knobs
-        "minimize_neighborhoods",
-        "memoize_neighborhoods",
         # cache/persistence/executor plumbing: never changes the plan
         "cache",
         "cache_size",
@@ -790,11 +765,11 @@ class OptimizerConfig:
         :meth:`repro.cost.models.CostModel.cache_key`).  Deliberately
         excluded: ``default_cardinality`` (materialized into the
         statistics signature during normalization), ``on_disconnected``
-        (already applied to the graph before fingerprinting), the
-        correctness-neutral DPhyp knobs, and the cache/persistence/
-        executor/pipeline plumbing itself — so configs differing only
-        in plumbing share entries (and a persisted cache file is
-        readable regardless of executor or autosave settings).  One
+        (already applied to the graph before fingerprinting), and the
+        cache/persistence/executor/pipeline plumbing itself — so
+        configs differing only in plumbing share entries (and a
+        persisted cache file is readable regardless of executor or
+        autosave settings).  One
         deliberate exception to the plan-semantics rule:
         ``cache_namespace`` participates although it never changes the
         plan, because its whole job is key-space isolation between

@@ -30,9 +30,8 @@ if TYPE_CHECKING:  # import cycle: repro.cache hosts the PlanCache
     from .cache.plan_cache import PlanCache
 
 from .core.dpccp import solve_dpccp
-from .core.dphyp import solve_dphyp
 from .core.dphyp_recursive import solve_dphyp_recursive
-from .core.kernel import solve_dphyp_kernel
+from .core.kernel.solver import solve_dphyp
 from .core.dpsize import solve_dpsize
 from .core.dpsub import solve_dpsub
 from .core.greedy import solve_greedy
@@ -402,10 +401,9 @@ def select_auto(
     * complex hyperedges rule out simple-graph-only solvers (DPccp);
     * above ``exact_threshold`` relations, exact enumerators are ruled
       out and the search falls back to the greedy heuristic;
-    * among the survivors the highest ``auto_priority`` wins, so the
-      flat-array ``dphyp-kernel`` takes every exact inner-join query,
-      simple graph or hypergraph alike, and DPhyp the operator-tree
-      queries the kernel does not support.
+    * among the survivors the highest ``auto_priority`` wins, so
+      ``dphyp`` takes every exact query — simple graph, hypergraph or
+      operator tree alike.
 
     One cache-aware refinement: when a ``cache`` is attached and the
     query sits *just above* the threshold (within
@@ -487,19 +485,10 @@ ALGORITHMS = _AlgorithmsView()
 register_algorithm(AlgorithmInfo(
     name="dphyp",
     solver=solve_dphyp,
+    # auto's one exact enumerator: inner joins, hypergraphs and
+    # operator trees alike
     auto_priority=50,
-    description="iterative DPhyp, the paper's hypergraph enumerator",
-))
-register_algorithm(AlgorithmInfo(
-    name="dphyp-kernel",
-    solver=solve_dphyp_kernel,
-    # Inner-join builder only: operator-tree queries (Section 5) keep
-    # dispatching to dphyp, and the solver itself falls back for any
-    # builder that is not a plain JoinPlanBuilder.
-    supports_operator_trees=False,
-    # Outranks dphyp: auto's one enumerator for inner-join queries.
-    auto_priority=60,
-    description="two-phase flat-array DPhyp, the inner-join enumerator",
+    description="DPhyp, the paper's hypergraph enumerator",
 ))
 register_algorithm(AlgorithmInfo(
     name="dphyp-recursive",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import exhaustive
-from repro.core.dphyp import DPhyp
+from repro.core.kernel import DPhyp
 from repro.core.plans import JoinPlanBuilder
 from repro.workloads.random_queries import random_hypergraph_query
 

@@ -402,7 +402,9 @@ class TestModuleState:
         source = "CACHE = {}\n"
         checker = ModuleStateChecker()
         assert check_source(source, checker, path=self.KERNEL_PATH)
-        assert not check_source(source, checker, path="repro/core/dphyp.py")
+        assert not check_source(
+            source, checker, path="repro/core/dphyp_recursive.py"
+        )
         assert not check_source(source, checker, path="repro/cache/keys.py")
 
     def test_flags_every_mutable_container_form(self):
@@ -426,7 +428,7 @@ class TestModuleState:
             "SYMMETRIC = frozenset({1, 2})\n"
             "_np = None\n"
             "NAME = 'kernel'\n"
-            "__all__ = ['KernelDPhyp']\n"
+            "__all__ = ['DPhyp']\n"
         )
         assert check_source(
             source, ModuleStateChecker(), path=self.KERNEL_PATH

@@ -281,9 +281,9 @@ class TestKernelTier:
         # clamped sizes dedupe the 30/40/60 chain ladder
         assert shapes == ["chain-6", "cycle-6", "star-6", "clique-6"]
         for entry in document["workloads"]:
-            base = entry["results"]["dphyp"]
-            new = entry["results"]["dphyp-kernel"]
-            # the kernel contract: exactly equal, not approximately
+            base = entry["results"]["dphyp-recursive"]
+            new = entry["results"]["dphyp"]
+            # the oracle contract: exactly equal, not approximately
             assert new["ccp"] == base["ccp"]
             assert new["cost"] == base["cost"]
 
@@ -294,12 +294,12 @@ class TestKernelTier:
         )
 
         document = self.tiny_document()
-        # promote one workload past the gate size and make the kernel
+        # promote one workload past the gate size and make dphyp
         # "fast" so only the synthetic numbers decide
         entry = document["workloads"][0]
         entry["n_relations"] = KERNEL_GATE_MIN_N
-        entry["results"]["dphyp"]["ms"] = 10.0
-        entry["results"]["dphyp-kernel"]["ms"] = 2.0
+        entry["results"]["dphyp-recursive"]["ms"] = 10.0
+        entry["results"]["dphyp"]["ms"] = 2.0
         assert kernel_gate_problems(document, min_speedup=3.0) == []
 
     def test_gate_flags_slow_kernel_and_drift(self):
@@ -311,10 +311,10 @@ class TestKernelTier:
         document = self.tiny_document()
         entry = document["workloads"][0]
         entry["n_relations"] = KERNEL_GATE_MIN_N
-        entry["results"]["dphyp"]["ms"] = 10.0
-        entry["results"]["dphyp-kernel"]["ms"] = 9.0  # only 1.1x
-        document["workloads"][1]["results"]["dphyp-kernel"]["cost"] *= 2
-        document["workloads"][2]["results"]["dphyp-kernel"]["ccp"] += 1
+        entry["results"]["dphyp-recursive"]["ms"] = 10.0
+        entry["results"]["dphyp"]["ms"] = 9.0  # only 1.1x
+        document["workloads"][1]["results"]["dphyp"]["cost"] *= 2
+        document["workloads"][2]["results"]["dphyp"]["ccp"] += 1
         problems = kernel_gate_problems(document, min_speedup=3.0)
         assert any("speedup" in p for p in problems)
         assert any("bit-identical" in p for p in problems)
@@ -375,7 +375,7 @@ class TestProfileSubcommand:
     def test_report_structure_and_phases(self):
         from repro.bench.profile import PHASE_ORDER, profile_workload
 
-        report = profile_workload("chain", 8, algorithm="dphyp-kernel")
+        report = profile_workload("chain", 8, algorithm="dphyp")
         assert report["workload"] == "chain-8"
         assert report["ccp"] > 0
         assert set(report["phases_ms"]) == set(PHASE_ORDER)
@@ -393,7 +393,7 @@ class TestProfileSubcommand:
     def test_phase_classification(self):
         from repro.bench.profile import classify_phase
 
-        assert classify_phase("src/repro/core/dphyp.py") == "search"
+        assert classify_phase("src/repro/core/dphyp_recursive.py") == "search"
         assert classify_phase("src/repro/core/kernel/solver.py") == "search"
         assert (
             classify_phase("src/repro/core/kernel/costing.py") == "costing"
@@ -419,7 +419,7 @@ class TestProfileSubcommand:
 
         report = profile_workload("cycle", 6)
         assert report["requested_algorithm"] == "auto"
-        assert report["algorithm"] == "dphyp-kernel"
+        assert report["algorithm"] == "dphyp"
 
     def test_bench_cli_dispatches_profile(self, capsys):
         from repro.bench.__main__ import main

@@ -12,7 +12,7 @@ fragment list instead.
 import pytest
 
 from repro.core.dpccp import solve_dpccp
-from repro.core.dphyp import solve_dphyp
+from repro.core.kernel import solve_dphyp
 from repro.core.dphyp_recursive import solve_dphyp_recursive
 from repro.core.dpsize import solve_dpsize
 from repro.core.dpsub import solve_dpsub

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.dpccp import DPccp, solve_dpccp
-from repro.core.dphyp import solve_dphyp
+from repro.core.kernel import solve_dphyp
 from repro.core.hypergraph import Hyperedge, Hypergraph
 from repro.core.plans import JoinPlanBuilder
 from repro.core.stats import SearchStats

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import bitset, exhaustive
-from repro.core.dphyp import DPhyp, solve_dphyp
+from repro.core.kernel import DPhyp, solve_dphyp
 from repro.core.dpsub import solve_dpsub
 from repro.core.hypergraph import Hyperedge, Hypergraph
 from repro.core.plans import JoinPlanBuilder
@@ -152,4 +152,6 @@ class TestTableStats:
             fig2_graph, JoinPlanBuilder(fig2_graph, fig2_cardinalities)
         )
         plan = solver.run()
-        assert plan is solver.table.get(fig2_graph.all_nodes)
+        assert plan is not None
+        # the table is keyed by plan class: every connected set
+        assert set(solver.table) == exhaustive.connected_sets(fig2_graph)

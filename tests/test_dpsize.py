@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dphyp import solve_dphyp
+from repro.core.kernel import solve_dphyp
 from repro.core.dpsize import solve_dpsize
 from repro.core.hypergraph import Hypergraph
 from repro.core.plans import JoinPlanBuilder

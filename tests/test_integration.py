@@ -5,7 +5,7 @@ import pytest
 
 from repro import Hypergraph, explain, optimize
 from repro.core import bitset
-from repro.core.dphyp import DPhyp
+from repro.core.kernel import DPhyp
 from repro.core.plans import JoinPlanBuilder
 from repro.core.stats import SearchStats
 
@@ -19,13 +19,16 @@ class TestFig3TraceProperties:
             fig2_graph, JoinPlanBuilder(fig2_graph, fig2_cardinalities)
         )
         emitted = []
-        original = solver.emit_csg_cmp
+        traverse = solver.traverse
 
-        def recording(s1, s2, edges=None):
-            emitted.append((s1, s2))
-            original(s1, s2, edges)
+        def recording_traverse(offer):
+            def recording(s1, s2):
+                emitted.append((s1, s2))
+                offer(s1, s2)
 
-        solver.emit_csg_cmp = recording
+            traverse(recording)
+
+        solver.traverse = recording_traverse
         plan = solver.run()
         return emitted, plan
 

@@ -1,17 +1,17 @@
-"""Property-based equivalence: ``dphyp-kernel`` vs ``dphyp``.
+"""Property-based equivalence: ``dphyp`` vs ``dphyp-recursive``.
 
-The kernel's contract is not "approximately the same plan" — it is the
-*same* search (identical csg-cmp-pairs) pricing the *same* candidates
-with bit-identical float arithmetic, differing only in data layout.
-These tests pin that contract on random hypergraphs:
+DPhyp's flat-array offer is not "approximately the same plan" as the
+recursive oracle — it is the *same* search (identical csg-cmp-pairs)
+pricing the *same* candidates with bit-identical float arithmetic,
+differing only in data layout.  These tests pin that contract on
+random hypergraphs:
 
-* exact ``cost`` / ``cardinality`` / join-order equality against both
-  ``dphyp`` and the seed-faithful ``dphyp-recursive``, across every
-  shipped cost model (including ``MinOfModel``, which exercises the
-  generic proxy path);
+* exact ``cost`` / ``cardinality`` / join-order equality against the
+  seed-faithful ``dphyp-recursive``, across every shipped cost model
+  (including ``MinOfModel``, which exercises the generic proxy path);
 * ``SearchStats`` parity — ``ccp_emitted``, ``table_entries`` and
-  ``cost_calls`` must match, or the kernel explored a different space;
-* the kernel reads set cardinalities from the builder's estimator,
+  ``cost_calls`` must match, or DPhyp explored a different space;
+* the flat offer reads set cardinalities from the builder's estimator,
   which agrees bit-for-bit with the spelled-out "base product, then
   every spanned edge's selectivity" reference, both multiplied in
   ascending value order.
@@ -21,10 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.dphyp import solve_dphyp
 from repro.core.dphyp_recursive import solve_dphyp_recursive
 from repro.core import bitset
-from repro.core.kernel import solve_dphyp_kernel
+from repro.core.kernel import solve_dphyp
 from repro.core.plans import JoinPlanBuilder
 from repro.core.stats import SearchStats
 from repro.cost.cardinality import SetCardinalityEstimator
@@ -98,20 +97,21 @@ def join_order(plan):
 
 
 def assert_equivalent(query, make_model=CoutModel):
-    kernel_plan, kernel_stats = solve(solve_dphyp_kernel, query, make_model)
-    for reference_solver in (solve_dphyp, solve_dphyp_recursive):
-        plan, stats = solve(reference_solver, query, make_model)
-        if plan is None:
-            assert kernel_plan is None
-            continue
-        assert kernel_plan is not None
-        # bit-identical, not approx: the kernel replays the same floats
-        assert kernel_plan.cost == plan.cost
-        assert kernel_plan.cardinality == plan.cardinality
-        assert join_order(kernel_plan) == join_order(plan)
-        assert kernel_stats.ccp_emitted == stats.ccp_emitted
-        assert kernel_stats.table_entries == stats.table_entries
-        assert kernel_stats.cost_calls == stats.cost_calls
+    plan, stats = solve(solve_dphyp, query, make_model)
+    oracle_plan, oracle_stats = solve(
+        solve_dphyp_recursive, query, make_model
+    )
+    if oracle_plan is None:
+        assert plan is None
+        return
+    assert plan is not None
+    # bit-identical, not approx: the flat offer replays the same floats
+    assert plan.cost == oracle_plan.cost
+    assert plan.cardinality == oracle_plan.cardinality
+    assert join_order(plan) == join_order(oracle_plan)
+    assert stats.ccp_emitted == oracle_stats.ccp_emitted
+    assert stats.table_entries == oracle_stats.table_entries
+    assert stats.cost_calls == oracle_stats.cost_calls
 
 
 class TestKernelEquivalence:
@@ -137,7 +137,7 @@ class TestKernelEquivalence:
     @settings(**COMMON)
     def test_hypergraphs_sort_merge(self, query):
         # the one shipped model whose two join orders price
-        # differently in float arithmetic — the kernel must offer both
+        # differently in float arithmetic — the flat offer must try both
         assert_equivalent(query, SortMergeModel)
 
 
@@ -157,14 +157,14 @@ def spans_reference(graph, base, s):
 
 
 class TestSharedCardinality:
-    """One set-cardinality routine behind the estimator and the kernel."""
+    """One set-cardinality routine behind the estimator and DPhyp."""
 
     @given(query=hypergraph_queries())
     @settings(**COMMON)
     def test_kernel_cardinalities_are_the_estimators(self, query):
         graph = query.graph
         builder = JoinPlanBuilder(graph, query.cardinalities)
-        solve_dphyp_kernel(graph, builder, SearchStats())
+        solve_dphyp(graph, builder, SearchStats())
         base = [float(c) for c in query.cardinalities]
         assert builder.estimator.memo
         for s, card in builder.estimator.memo.items():

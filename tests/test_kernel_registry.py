@@ -1,18 +1,17 @@
-"""Registry, auto-dispatch and plan-cache behavior of ``dphyp-kernel``.
+"""Registry, auto-dispatch and plan-cache behavior of ``dphyp``.
 
-The kernel is registered with deliberately narrow capabilities and no
-size floor; these tests pin the routing consequences:
+One registration, ``"dphyp"``, serves inner joins, hypergraphs and
+operator trees alike; these tests pin the routing consequences:
 
-* ``algorithm="auto"`` hands every exact inner-join query to the
-  kernel but never an operator-tree query — trees keep going to
-  ``dphyp``;
-* asking for the kernel on a tree explicitly is a loud
-  :class:`~repro.registry.CapabilityError`, not silent fallback;
-* plan-cache keys *distinguish* ``dphyp`` from ``dphyp-kernel`` (the
-  registration fingerprint is part of every key, so replacing either
-  implementation invalidates only its own entries) while the cached
-  recipes — and the replayed plans — are identical, because the
-  kernel produces bit-identical plans.
+* ``algorithm="auto"`` hands every exact query to ``dphyp`` —
+  operator trees included;
+* ``"dphyp"`` on a tree, asked for explicitly, runs and matches the
+  recursive oracle; the retired ``"dphyp-kernel"`` name is unknown;
+* plan-cache keys *distinguish* ``dphyp`` from ``dphyp-recursive``
+  (the registration fingerprint is part of every key, so replacing
+  either implementation invalidates only its own entries) while the
+  cached recipes — and the replayed plans — are identical, because
+  both produce bit-identical plans.
 """
 
 import pytest
@@ -22,8 +21,9 @@ from repro.algebra.operators import JOIN
 from repro.algebra.optree import Relation, leaf, node
 from repro.cache.plan_cache import PlanCache
 from repro.optimizer import Optimizer, OptimizerConfig
-from repro.registry import CapabilityError, get_algorithm, select_auto
+from repro.registry import get_algorithm, select_auto
 from repro.workloads import generators
+from repro.workloads.nonreorderable import star_antijoin_tree
 
 
 def join_chain_tree(n):
@@ -42,32 +42,33 @@ def join_chain_tree(n):
 
 
 class TestRegistration:
-    def test_registered_with_narrow_capabilities(self):
-        info = get_algorithm("dphyp-kernel")
-        assert info.supports_operator_trees is False
-        assert info.auto_priority > get_algorithm("dphyp").auto_priority
+    def test_one_registration_serves_every_query_kind(self):
+        info = get_algorithm("dphyp")
+        assert info.supports_operator_trees
+        assert info.supports_hypergraphs
+        assert info.exact
+        assert info.auto_priority > get_algorithm("greedy").auto_priority
 
     def test_auto_routing_has_no_floor(self):
-        # every exact inner-join size goes to the kernel; only the
-        # exact threshold sends a query to greedy instead
+        # every exact size goes to dphyp; only the exact threshold
+        # sends a query to greedy instead
         expectations = [
-            (2, 14, "dphyp-kernel"),
-            (4, 14, "dphyp-kernel"),
-            (10, 14, "dphyp-kernel"),
-            (14, 14, "dphyp-kernel"),
+            (2, 14, "dphyp"),
+            (4, 14, "dphyp"),
+            (10, 14, "dphyp"),
+            (14, 14, "dphyp"),
             (15, 14, "greedy"),
-            (16, 20, "dphyp-kernel"),
-            (30, 40, "dphyp-kernel"),
+            (16, 20, "dphyp"),
+            (30, 40, "dphyp"),
         ]
         for n, threshold, expected in expectations:
             info = select_auto(generators.chain(n).graph, threshold)
             assert info.name == expected, (n, threshold, info.name)
 
     def test_auto_routes_trees_to_dphyp(self):
-        # 16 relations, threshold 20: a hypergraph query would pick
-        # the kernel — the tree must not
+        # 16 relations, threshold 20: a tree resolves like a hypergraph
         graph = generators.chain(16).graph
-        assert select_auto(graph, 20).name == "dphyp-kernel"
+        assert select_auto(graph, 20).name == "dphyp"
         assert select_auto(graph, 20, from_tree=True).name == "dphyp"
 
 
@@ -81,12 +82,26 @@ class TestOperatorTrees:
         assert result.requested_algorithm == "auto"
         assert result.plan is not None
 
-    def test_explicit_kernel_on_tree_is_an_error(self):
-        tree = join_chain_tree(5)
-        with pytest.raises(CapabilityError):
-            Optimizer(
-                OptimizerConfig(algorithm="dphyp-kernel")
-            ).optimize(tree)
+    @pytest.mark.parametrize("mode", ["hyperedges", "tes-filter"])
+    def test_explicit_dphyp_on_tree_matches_the_oracle(self, mode):
+        tree = star_antijoin_tree(6, 3, seed=1)
+        result = Optimizer(
+            OptimizerConfig(algorithm="dphyp", mode=mode)
+        ).optimize(tree)
+        oracle = Optimizer(
+            OptimizerConfig(algorithm="dphyp-recursive", mode=mode)
+        ).optimize(tree)
+        assert result.algorithm == "dphyp"
+        assert result.plan is not None
+        assert result.cost == oracle.cost
+        assert result.cardinality == oracle.cardinality
+        assert result.stats.ccp_emitted == oracle.stats.ccp_emitted
+
+    def test_kernel_name_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            get_algorithm("dphyp-kernel")
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            Optimizer(OptimizerConfig(algorithm="dphyp-kernel"))
 
 
 class TestPlanCacheInterplay:
@@ -102,23 +117,23 @@ class TestPlanCacheInterplay:
 
     def test_keys_differ_but_recipes_are_identical(self):
         query = generators.chain(12)
-        kernel_cache, kernel_result, _ = self.run_cached(
-            "dphyp-kernel", query
-        )
         dphyp_cache, dphyp_result, _ = self.run_cached("dphyp", query)
-        (kernel_key, kernel_entry), = kernel_cache.snapshot_entries()
+        oracle_cache, oracle_result, _ = self.run_cached(
+            "dphyp-recursive", query
+        )
         (dphyp_key, dphyp_entry), = dphyp_cache.snapshot_entries()
+        (oracle_key, oracle_entry), = oracle_cache.snapshot_entries()
         # the registration fingerprint keeps the keys apart ...
-        assert kernel_key != dphyp_key
+        assert dphyp_key != oracle_key
         # ... while plans, recipes and costs are interchangeable
-        assert kernel_entry.recipe == dphyp_entry.recipe
-        assert kernel_entry.cost == dphyp_entry.cost
-        assert kernel_entry.structure == dphyp_entry.structure
-        assert kernel_result.plan.cost == dphyp_result.plan.cost
+        assert dphyp_entry.recipe == oracle_entry.recipe
+        assert dphyp_entry.cost == oracle_entry.cost
+        assert dphyp_entry.structure == oracle_entry.structure
+        assert dphyp_result.plan.cost == oracle_result.plan.cost
 
     def test_kernel_replay_hit_is_identical(self):
         query = generators.chain(12)
-        _, first, second = self.run_cached("dphyp-kernel", query)
+        _, first, second = self.run_cached("dphyp", query)
         assert first.stats.extra["plan_cache"]["event"] == "miss"
         assert second.stats.extra["plan_cache"]["event"] == "hit"
         assert second.plan.cost == first.plan.cost

@@ -116,37 +116,6 @@ class TestConfig:
         ).optimize(query)
         assert cout.cost != hashj.cost
 
-    def test_knob_shortcut_defers_to_replaced_dphyp_registration(self):
-        from repro import AlgorithmInfo, get_algorithm, register_algorithm
-
-        calls = []
-        original = get_algorithm("dphyp")
-
-        def probe_solver(graph, builder, stats):
-            calls.append(graph)
-            return original.solver(graph, builder, stats)
-
-        register_algorithm(AlgorithmInfo(name="dphyp", solver=probe_solver),
-                           replace=True)
-        try:
-            Optimizer(
-                algorithm="dphyp", memoize_neighborhoods=False
-            ).optimize(HYPERGRAPH_FIXTURES["chain"])
-        finally:
-            register_algorithm(original, replace=True)
-        assert calls, "replacement solver must win over the knob shortcut"
-
-    def test_dphyp_knobs_are_correctness_neutral(self):
-        query = HYPERGRAPH_FIXTURES["star"]
-        default = Optimizer(algorithm="dphyp").optimize(query)
-        plain = Optimizer(
-            algorithm="dphyp",
-            memoize_neighborhoods=False,
-            minimize_neighborhoods=False,
-        ).optimize(query)
-        assert plain.cost == default.cost
-        assert plain.stats.neighborhood_cache_hits == 0
-
 
 class TestQuerySpec:
     def spec(self):
@@ -197,8 +166,8 @@ class TestQuerySpec:
         graph, _cards = spec.to_hypergraph()
         assert not graph.is_simple
         result = Optimizer().optimize(spec)
-        # the kernel is auto's enumerator for hypergraphs too
-        assert result.algorithm == "dphyp-kernel"
+        # DPhyp is auto's enumerator for hypergraphs too
+        assert result.algorithm == "dphyp"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one relation"):
@@ -358,4 +327,4 @@ class TestCapabilityGate:
 
     def test_auto_avoids_dpccp_here(self):
         result = Optimizer().optimize(self.complex_graph())
-        assert result.algorithm == "dphyp-kernel"
+        assert result.algorithm == "dphyp"

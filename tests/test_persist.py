@@ -430,7 +430,7 @@ class TestProcessScopedKeys:
 
         fingerprint = registration_fingerprint("dphyp")
         assert fingerprint[:3] == (
-            "dphyp", "repro.core.dphyp", "solve_dphyp"
+            "dphyp", "repro.core.kernel.solver", "solve_dphyp"
         )
         # the fourth element pins the implementation: a hex digest of
         # the solver's bytecode, not a process-scoped token

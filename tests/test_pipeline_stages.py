@@ -36,7 +36,7 @@ class TestDefaultPipeline:
         assert ctx.graph is query.graph
         assert ctx.resolved_cardinalities == query.cardinalities
         assert ctx.builder is not None
-        assert ctx.info.name == "dphyp-kernel"  # auto on a small chain
+        assert ctx.info.name == "dphyp"  # auto on a small chain
         assert ctx.cacheable
 
     def test_fingerprint_skipped_without_cache(self):

@@ -164,8 +164,6 @@ class TestCacheKeys:
         assert base.cache_key() == OptimizerConfig(cache="on").cache_key()
         assert base.cache_key() == \
             OptimizerConfig(parallel_workers=4).cache_key()
-        assert base.cache_key() == \
-            OptimizerConfig(memoize_neighborhoods=False).cache_key()
         # exact_threshold only matters under "auto" dispatch
         assert OptimizerConfig(algorithm="dphyp").cache_key() == \
             OptimizerConfig(algorithm="dphyp", exact_threshold=5).cache_key()

@@ -1,12 +1,10 @@
 """Property-based route equivalence for ``algorithm="auto"``.
 
-``auto`` sends every exact inner-join query — simple graph or
-hypergraph — to the flat-array ``dphyp-kernel``.  That routing is only
-safe because the kernel is the same search as ``dphyp``: these
-properties pin, for random queries of 2..12 relations, that the
-default optimizer reports the kernel, that its cost equals ``dphyp``'s
-bit for bit, and that it matches the seed-faithful recursive DPhyp
-oracle.  Operator-tree queries keep reporting ``dphyp``.
+``auto`` sends every exact query — simple graph, hypergraph or
+operator tree — to ``dphyp``.  These properties pin, for random
+queries of 2..12 relations, that the default optimizer reports
+``dphyp``, that its cost equals an explicit ``dphyp`` run's bit for
+bit, and that it matches the seed-faithful recursive DPhyp oracle.
 """
 
 import math
@@ -31,7 +29,7 @@ def simple_queries(draw):
     n = draw(st.integers(min_value=2, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     # dense 12-relation graphs make the recursive oracle slow; the
-    # kernel's own equivalence suite covers density at smaller sizes
+    # flat offer's own equivalence suite covers density at smaller sizes
     extra = draw(st.sampled_from([0.0, 0.15] if n > 8 else [0.0, 0.3, 0.8]))
     return random_simple_query(n, seed, extra_edge_probability=extra)
 
@@ -51,7 +49,7 @@ def hypergraph_queries(draw):
 
 def assert_kernel_route(query):
     result = Optimizer().optimize(query)
-    assert result.algorithm == "dphyp-kernel"
+    assert result.algorithm == "dphyp"
     assert result.requested_algorithm == "auto"
     dphyp = Optimizer(algorithm="dphyp").optimize(query)
     oracle = Optimizer(algorithm="dphyp-recursive").optimize(query)

@@ -52,8 +52,6 @@ def configs(draw):
             st.sampled_from(("raise", "connect", "plan-none"))
         ),
         exact_threshold=draw(st.integers(min_value=1, max_value=30)),
-        minimize_neighborhoods=draw(st.booleans()),
-        memoize_neighborhoods=draw(st.booleans()),
         cache=draw(st.sampled_from(("auto", "on", "off"))),
         cache_size=draw(st.integers(min_value=1, max_value=4096)),
         cache_path=draw(st.sampled_from((None, "a.sqlite", "b.sqlite"))),

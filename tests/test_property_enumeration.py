@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import bitset, exhaustive
-from repro.core.dphyp import DPhyp
+from repro.core.kernel import DPhyp
 from repro.core.dpsize import solve_dpsize
 from repro.core.dpsub import solve_dpsub
 from repro.core.plans import JoinPlanBuilder
@@ -65,13 +65,16 @@ class TestCcpExactness:
             stats,
         )
         emitted: list[tuple[int, int]] = []
-        original = solver.emit_csg_cmp
+        traverse = solver.traverse
 
-        def recording(s1, s2, edges=None):
-            emitted.append((s1, s2) if s1 < s2 else (s2, s1))
-            original(s1, s2, edges)
+        def recording_traverse(offer):
+            def recording(s1, s2):
+                emitted.append((s1, s2) if s1 < s2 else (s2, s1))
+                offer(s1, s2)
 
-        solver.emit_csg_cmp = recording
+            traverse(recording)
+
+        solver.traverse = recording_traverse
         solver.run()
         oracle = {
             (s1, s2) if s1 < s2 else (s2, s1)
@@ -90,7 +93,7 @@ class TestCcpExactness:
             stats,
         )
         solver.run()
-        assert set(solver.table.classes()) == exhaustive.connected_sets(
+        assert set(solver.table) == exhaustive.connected_sets(
             query.graph
         )
 

@@ -132,19 +132,19 @@ class TestAutoDispatch:
 
     def test_small_simple_shapes_get_kernel(self):
         # dpccp stays registered as a baseline but is never auto-picked
-        assert self.pick(generators.chain(5).graph) == "dphyp-kernel"
-        assert self.pick(generators.star(6).graph) == "dphyp-kernel"
-        assert self.pick(generators.cycle(8).graph) == "dphyp-kernel"
+        assert self.pick(generators.chain(5).graph) == "dphyp"
+        assert self.pick(generators.star(6).graph) == "dphyp"
+        assert self.pick(generators.cycle(8).graph) == "dphyp"
         assert get_algorithm("dpccp").auto_priority == 0
 
     def test_midsize_simple_gets_kernel(self):
-        assert self.pick(generators.cycle(12).graph) == "dphyp-kernel"
-        assert self.pick(generators.chain(14).graph) == "dphyp-kernel"
+        assert self.pick(generators.cycle(12).graph) == "dphyp"
+        assert self.pick(generators.chain(14).graph) == "dphyp"
 
     def test_complex_edges_get_kernel(self):
         for n in (3, 5, 8, 10):
             graph = complex_graph(n)
-            assert self.pick(graph) == "dphyp-kernel"
+            assert self.pick(graph) == "dphyp"
 
     def test_oversized_gets_greedy(self):
         assert self.pick(generators.chain(15).graph) == "greedy"
@@ -165,7 +165,7 @@ class TestAutoDispatch:
     def test_threshold_is_configurable(self):
         graph = generators.chain(8).graph
         assert select_auto(graph, 5).name == "greedy"
-        assert select_auto(graph, 8).name == "dphyp-kernel"
+        assert select_auto(graph, 8).name == "dphyp"
 
     def test_registered_heuristic_can_win_the_fallback(self):
         register_algorithm(AlgorithmInfo(
