@@ -12,9 +12,10 @@ The serving layer separates three ingredients of plan identity:
   key only when an isomorphism matches structure *and* statistics, so
   a cache hit is exact by construction.
 * **configuration** — the :meth:`OptimizerConfig.cache_key` tuple
-  (algorithm, mode, thresholds, cost-model key), so optimizers with
-  different semantics never serve each other's plans even when they
-  share one :class:`~repro.cache.plan_cache.PlanCache`.
+  (algorithm, mode, cost-model key) plus the resolved registration's
+  fingerprint, so optimizers with different semantics never serve
+  each other's plans even when they share one
+  :class:`~repro.cache.plan_cache.PlanCache`.
 
 The annotated canonical form also yields the node permutation used to
 store/replay plan recipes in canonical space (see

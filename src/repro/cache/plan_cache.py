@@ -441,25 +441,6 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def structure_hot(self, structure: str) -> bool:
-        """True when a *fresh* entry lives in structural bucket ``structure``.
-
-        The ``auto``-dispatch hot-bucket heuristic asks this for
-        borderline query sizes (just above ``exact_threshold``): a hot
-        bucket means this shape is being served repeatedly, so paying
-        exact enumeration once is amortized by the cache.  Entries from
-        older statistics epochs do not count — they would be
-        revalidated, not served.
-        """
-        with self._lock:
-            for entry in self._entries.values():
-                if (
-                    entry.structure == structure
-                    and entry.epoch == self._epoch
-                ):
-                    return True
-            return False
-
     def structures(self) -> dict[str, int]:
         """Entry count per structural bucket (diagnostics)."""
         with self._lock:

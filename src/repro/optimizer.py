@@ -21,8 +21,10 @@ search statistics, the resolved algorithm, relation names, and the
 ``algorithm="auto"`` dispatches per the paper's guidance using the
 capability metadata in :mod:`repro.registry`: DPhyp for every exact
 query (inner joins, complex hyperedges and operator trees alike), and
-the greedy heuristic beyond ``exact_threshold`` relations, where
-exhaustive enumeration stops being a sensible default.
+the greedy heuristic beyond
+:data:`~repro.registry.EXACT_MAX_RELATIONS` relations, where
+exhaustive enumeration stops being a sensible default.  The choice
+depends on the query alone, never on what the cache holds.
 
 The legacy entry points — :func:`repro.api.optimize` and
 :func:`repro.algebra.pipeline.optimize_operator_tree` — are thin
@@ -367,9 +369,7 @@ class NormalizeStage:
             # "plan-none": legacy behaviour, let the solver return None
         ctx.kind = "hypergraph"
         ctx.graph = graph
-        ctx.info = _resolve_algorithm(
-            config, graph, from_tree=False, cache=ctx.cache
-        )
+        ctx.info = _resolve_algorithm(config, graph, from_tree=False)
         if builder is None:
             if cardinalities is None:
                 cardinalities = [config.default_cardinality] * graph.n_nodes
@@ -542,24 +542,11 @@ class FinalizeStage:
 
 
 def _resolve_algorithm(
-    config: "OptimizerConfig",
-    graph: Hypergraph,
-    from_tree: bool,
-    cache: Optional[PlanCache] = None,
+    config: "OptimizerConfig", graph: Hypergraph, from_tree: bool
 ) -> AlgorithmInfo:
-    """Map the configured algorithm to a registration for ``graph``.
-
-    ``cache`` (the pipeline's attached plan cache, if any) lets
-    ``"auto"`` consult structural hit statistics: a query a little
-    above ``exact_threshold`` whose structure bucket is already hot is
-    worth exact enumeration, because the result will be replayed for
-    its isomorphic repeats (see :func:`repro.registry.select_auto`).
-    """
+    """Map the configured algorithm to a registration for ``graph``."""
     if config.algorithm == "auto":
-        return select_auto(
-            graph, config.exact_threshold, from_tree=from_tree,
-            cache=cache,
-        )
+        return select_auto(graph, from_tree=from_tree)
     info = get_algorithm(config.algorithm)
     check_capabilities(info, graph, from_tree=from_tree)
     return info
@@ -615,9 +602,6 @@ class OptimizerConfig:
             (cross products with selectivity 1), ``"plan-none"``
             preserves the legacy behaviour of returning a result whose
             ``plan`` is ``None``.
-        exact_threshold: largest relation count at which ``"auto"``
-            still dispatches to an exact enumerator; beyond it the
-            greedy heuristic is selected.
         cache: plan-cache policy — ``"auto"`` (default: off for
             single :meth:`Optimizer.optimize` calls, on for
             :meth:`Optimizer.optimize_many` batches), ``"on"``
@@ -679,7 +663,6 @@ class OptimizerConfig:
     mode: str = "hyperedges"
     default_cardinality: float = 10.0
     on_disconnected: str = "raise"
-    exact_threshold: int = 14
     cache: str = "auto"
     cache_size: int = DEFAULT_CAPACITY
     cache_path: Optional[str] = None
@@ -720,8 +703,6 @@ class OptimizerConfig:
             raise ValueError(
                 "on_disconnected must be 'raise', 'connect', or 'plan-none'"
             )
-        if self.exact_threshold < 1:
-            raise ValueError("exact_threshold must be positive")
         if self.default_cardinality <= 0:
             raise ValueError("default_cardinality must be positive")
         if self.cache not in ("auto", "on", "off"):
@@ -760,8 +741,7 @@ class OptimizerConfig:
         """Stable tuple identifying this config for plan-cache keys.
 
         Only fields that can change the *resulting plan* participate:
-        the algorithm (plus ``exact_threshold`` when dispatching
-        ``"auto"``), the operator-tree mode, and the cost model (via
+        the algorithm, the operator-tree mode, and the cost model (via
         :meth:`repro.cost.models.CostModel.cache_key`).  Deliberately
         excluded: ``default_cardinality`` (materialized into the
         statistics signature during normalization), ``on_disconnected``
@@ -783,8 +763,6 @@ class OptimizerConfig:
         else:
             cost = model.cache_key()
         key = (self.algorithm, self.mode, cost)
-        if self.algorithm == "auto":
-            key += (self.exact_threshold,)
         if self.cache_namespace is not None:
             # appended only when set: the default (None) keeps keys
             # bit-identical to pre-namespace releases, so persisted
@@ -1362,15 +1340,17 @@ def _process_worker_init(config_blob: bytes, registrations: list) -> None:
 def _process_worker_run(task: "tuple[Any, str]") -> dict:
     """``compute(query) -> recipe`` for one ``(query, algorithm)`` task.
 
-    ``algorithm`` is the registration the parent resolved — for
-    ``"auto"`` possibly promoted by its cache's structure statistics —
-    and therefore the one named in the cache key the parent stores the
-    result under.  The payload is *not* the plan (a worker's Plan holds
-    its own graph objects, useless to the parent) but the join tree as
-    an identity-space recipe — nested tuples over the query's own node
-    indices, carrying each join's cardinality and cost — plus the
-    worker's search statistics.  The parent replays the recipe onto the
-    requesting query; the floats are the ones the parent's own builder
+    ``algorithm`` is the registration the parent resolved, and
+    therefore the one named in the cache key the parent stores the
+    result under.  The worker never resolves ``"auto"`` itself: a
+    custom registration that cannot be pickled is missing in workers,
+    so a worker-side resolution could store another solver's plan
+    under the parent's key.  The payload is *not* the plan (a worker's
+    Plan holds its own graph objects, useless to the parent) but the
+    join tree as an identity-space recipe — nested tuples over the
+    query's own node indices, carrying each join's cardinality and
+    cost — plus the worker's search statistics.  The parent replays
+    the recipe onto the requesting query; the floats are the ones the parent's own builder
     would compute, since the worker optimized the same bytes under the
     same config.
     """

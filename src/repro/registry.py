@@ -3,12 +3,12 @@
 Every join-ordering algorithm the package ships is described by an
 :class:`AlgorithmInfo` record: the solver callable plus the metadata
 the :class:`~repro.optimizer.Optimizer` facade needs to dispatch
-safely — whether the solver handles complex hyperedges, whether it is
-exact, and up to which query size exhaustive enumeration is still a
-sensible default.  ``algorithm="auto"`` is implemented entirely on top
-of this metadata (see :func:`select_auto`), so registering a new
-solver with :func:`register_algorithm` is all it takes to make it
-available to the facade, the legacy wrappers, and the bench harness.
+safely — whether the solver handles complex hyperedges and whether it
+is exact.  ``algorithm="auto"`` is implemented entirely on top of this
+metadata plus :data:`EXACT_MAX_RELATIONS` (see :func:`select_auto`),
+so registering a new solver with :func:`register_algorithm` is all it
+takes to make it available to the facade, the legacy wrappers, and the
+bench harness.
 
 The legacy ``repro.api.ALGORITHMS`` mapping is preserved as a live
 read-only view over this registry (:data:`ALGORITHMS`), so existing
@@ -24,10 +24,7 @@ import types
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
-
-if TYPE_CHECKING:  # import cycle: repro.cache hosts the PlanCache
-    from .cache.plan_cache import PlanCache
+from typing import Callable, Iterator, Optional
 
 from .core.dpccp import solve_dpccp
 from .core.dphyp_recursive import solve_dphyp_recursive
@@ -381,52 +378,28 @@ def check_capabilities(
         )
 
 
-#: how far above ``exact_threshold`` the hot-structure heuristic may
-#: stretch exact enumeration (relations); small on purpose — DP cost
-#: grows exponentially, so each extra relation must be well justified
-HOT_STRUCTURE_MARGIN = 2
+#: largest relation count ``"auto"`` hands to an exact enumerator;
+#: larger queries go to the greedy heuristic
+EXACT_MAX_RELATIONS = 14
 
 
-def select_auto(
-    graph: Hypergraph,
-    exact_threshold: int,
-    from_tree: bool = False,
-    cache: "Optional[PlanCache]" = None,
-    hot_structure_margin: int = HOT_STRUCTURE_MARGIN,
-) -> AlgorithmInfo:
+def select_auto(graph: Hypergraph, from_tree: bool = False) -> AlgorithmInfo:
     """Pick an algorithm for ``graph`` from the registry metadata.
 
     The paper's guidance, expressed as a filter over capabilities:
 
     * complex hyperedges rule out simple-graph-only solvers (DPccp);
-    * above ``exact_threshold`` relations, exact enumerators are ruled
-      out and the search falls back to the greedy heuristic;
+    * above :data:`EXACT_MAX_RELATIONS` relations, exact enumerators
+      are ruled out and the search falls back to the greedy heuristic;
     * among the survivors the highest ``auto_priority`` wins, so
       ``dphyp`` takes every exact query — simple graph, hypergraph or
       operator tree alike.
 
-    One cache-aware refinement: when a ``cache`` is attached and the
-    query sits *just above* the threshold (within
-    ``hot_structure_margin`` relations), a fresh entry in the query's
-    structural bucket (:meth:`~repro.cache.plan_cache.PlanCache.
-    structure_hot`) promotes it back to exact enumeration.  A hot
-    bucket means this query shape is being served repeatedly, so the
-    one-time enumeration cost is amortized across the isomorphic
-    repeats the cache will replay — exactly the workloads where greedy
-    plan-quality loss would otherwise be paid over and over.  The
-    resolved registration is part of every cache key, so promoted
-    (exact) and unpromoted (greedy) results never serve each other.
+    The choice depends on the query alone, never on cache history, so
+    the same query resolves to the same registration everywhere.
     """
     n = graph.n_nodes
     has_complex = not graph.is_simple
-    if (
-        cache is not None
-        and exact_threshold < n <= exact_threshold + hot_structure_margin
-    ):
-        from .cache.keys import structure_bucket  # local: import cycle
-
-        if cache.structure_hot(structure_bucket(graph)):
-            exact_threshold = n
     best: Optional[AlgorithmInfo] = None
     fallback: Optional[AlgorithmInfo] = None
     for info in _REGISTRY.values():
@@ -440,7 +413,7 @@ def select_auto(
             if fallback is None or info.auto_priority > fallback.auto_priority:
                 fallback = info
             continue
-        if n > exact_threshold:
+        if n > EXACT_MAX_RELATIONS:
             continue
         if best is None or info.auto_priority > best.auto_priority:
             best = info

@@ -1,10 +1,10 @@
 """Tests for incremental cache sync: mutation cursors, deltas, floors.
 
-Covers the PR's cache-layer additions — ``PlanCache.mutations`` /
-``sync_since`` / ``snapshot_state`` / ``structure_hot`` — plus the two
-consumers with subtle semantics: the autosave change-detection that
-must not race ``bump_epoch`` (it keys off the *mutation* counter, not
-entry counts) and the ``select_auto`` hot-bucket promotion.
+Covers the cache-layer sync API — ``PlanCache.mutations`` /
+``sync_since`` / ``snapshot_state`` — plus the autosave
+change-detection that must not race ``bump_epoch`` (it keys off the
+*mutation* counter, not entry counts), and a check that ``auto``
+dispatch ignores what the cache already holds.
 """
 
 from __future__ import annotations
@@ -12,12 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import PlanStore, persist
-from repro.cache.keys import structure_bucket
-from repro.cache.plan_cache import CacheDelta, PlanCache
-from repro.core.hypergraph import Hypergraph
+from repro.cache.plan_cache import CacheDelta
 from repro.optimizer import Optimizer, OptimizerConfig, QuerySpec
-from repro.registry import select_auto
 from repro.serving.sync import DeltaTracker
+from repro.workloads import generators
 
 
 def chain_spec(n: int = 5, tag: float = 0.0) -> QuerySpec:
@@ -192,71 +190,24 @@ class TestAutosaveChangeDetection:
         assert store.syncs == 1
 
 
-class TestHotBucketPromotion:
-    """Satellite: ``select_auto`` prefers exact enumeration just above
-    ``exact_threshold`` when the structural bucket is hot in cache."""
+class TestAutoIgnoresCacheHistory:
+    """``auto`` resolves on the query alone: serving a same-shape query
+    first changes neither the route, the cache key nor the plan."""
 
     @staticmethod
-    def chain_graph(n: int) -> Hypergraph:
-        graph = Hypergraph(n_nodes=n)
-        for i in range(n - 1):
-            graph.add_simple_edge(i, i + 1, selectivity=0.1)
-        return graph
+    def served(optimizer: Optimizer, query) -> tuple:
+        before = {key for key, _ in optimizer.plan_cache.snapshot_entries()}
+        result = optimizer.optimize(query)
+        (key,) = {
+            key for key, _ in optimizer.plan_cache.snapshot_entries()
+        } - before
+        return result.algorithm, key, result.cost
 
-    def test_cold_bucket_stays_greedy(self):
-        graph = self.chain_graph(6)
-        info = select_auto(graph, exact_threshold=5, cache=PlanCache())
-        assert not info.exact
-
-    def test_hot_bucket_promotes_to_exact(self):
-        cache = Optimizer(
-            OptimizerConfig(cache="on")
-        ).plan_cache
-        warm = Optimizer(OptimizerConfig(cache="on"))
-        warm._plan_cache = cache
-        warm.optimize(chain_spec(n=6))
-        graph = self.chain_graph(6)
-        assert cache.structure_hot(structure_bucket(graph))
-        cold = select_auto(graph, exact_threshold=5)
-        hot = select_auto(graph, exact_threshold=5, cache=cache)
-        assert not cold.exact
-        assert hot.exact
-
-    def test_promotion_respects_the_margin(self):
-        warm = Optimizer(OptimizerConfig(cache="on"))
-        warm.optimize(chain_spec(n=9))
-        cache = warm.plan_cache
-        graph = self.chain_graph(9)
-        assert cache.structure_hot(structure_bucket(graph))
-        # 9 relations sit beyond threshold+margin (5+2): no promotion,
-        # however hot the bucket — the amortization argument only
-        # holds for borderline sizes
-        info = select_auto(graph, exact_threshold=5, cache=cache)
-        assert not info.exact
-
-    def test_stale_bucket_does_not_promote(self):
-        warm = Optimizer(OptimizerConfig(cache="on"))
-        warm.optimize(chain_spec(n=6))
-        cache = warm.plan_cache
-        cache.bump_epoch()
-        graph = self.chain_graph(6)
-        assert not cache.structure_hot(structure_bucket(graph))
-        info = select_auto(graph, exact_threshold=5, cache=cache)
-        assert not info.exact
-
-    def test_served_end_to_end_through_auto(self):
-        """The promotion changes real plans: repeated borderline shapes
-        get exact enumeration once the bucket is hot."""
-        optimizer = Optimizer(
-            OptimizerConfig(cache="on", exact_threshold=5)
-        )
-        first = optimizer.optimize(chain_spec(n=6))
-        assert first.algorithm == "greedy"
-        # the bucket is now hot; an isomorphic relabeling with fresh
-        # statistics is promoted to an exact enumerator
-        relabeled = QuerySpec(
-            relations=[(f"x{i}", 500.0 + i) for i in range(6)],
-            joins=[(f"x{i}", f"x{i + 1}", 0.1) for i in range(5)],
-        )
-        second = optimizer.optimize(relabeled)
-        assert second.algorithm != "greedy"
+    def test_cycle16_after_a_same_shape_query(self):
+        query = generators.cycle(16, seed=2)
+        fresh = self.served(Optimizer(OptimizerConfig(cache="on")), query)
+        warmed = Optimizer(OptimizerConfig(cache="on"))
+        warmed.optimize(generators.cycle(16, seed=1))
+        after = self.served(warmed, query)
+        assert after == fresh
+        assert fresh[0] == "greedy"

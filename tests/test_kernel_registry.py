@@ -21,7 +21,7 @@ from repro.algebra.operators import JOIN
 from repro.algebra.optree import Relation, leaf, node
 from repro.cache.plan_cache import PlanCache
 from repro.optimizer import Optimizer, OptimizerConfig
-from repro.registry import get_algorithm, select_auto
+from repro.registry import EXACT_MAX_RELATIONS, get_algorithm, select_auto
 from repro.workloads import generators
 from repro.workloads.nonreorderable import star_antijoin_tree
 
@@ -50,34 +50,26 @@ class TestRegistration:
         assert info.auto_priority > get_algorithm("greedy").auto_priority
 
     def test_auto_routing_has_no_floor(self):
-        # every exact size goes to dphyp; only the exact threshold
+        # every exact size goes to dphyp; only EXACT_MAX_RELATIONS
         # sends a query to greedy instead
-        expectations = [
-            (2, 14, "dphyp"),
-            (4, 14, "dphyp"),
-            (10, 14, "dphyp"),
-            (14, 14, "dphyp"),
-            (15, 14, "greedy"),
-            (16, 20, "dphyp"),
-            (30, 40, "dphyp"),
-        ]
-        for n, threshold, expected in expectations:
-            info = select_auto(generators.chain(n).graph, threshold)
-            assert info.name == expected, (n, threshold, info.name)
+        for n in range(2, EXACT_MAX_RELATIONS + 1):
+            info = select_auto(generators.chain(n).graph)
+            assert info.name == "dphyp", (n, info.name)
+        for n in (EXACT_MAX_RELATIONS + 1, 30):
+            info = select_auto(generators.chain(n).graph)
+            assert info.name == "greedy", (n, info.name)
 
     def test_auto_routes_trees_to_dphyp(self):
-        # 16 relations, threshold 20: a tree resolves like a hypergraph
-        graph = generators.chain(16).graph
-        assert select_auto(graph, 20).name == "dphyp"
-        assert select_auto(graph, 20, from_tree=True).name == "dphyp"
+        # a tree resolves like a hypergraph of the same size
+        graph = generators.chain(EXACT_MAX_RELATIONS).graph
+        assert select_auto(graph).name == "dphyp"
+        assert select_auto(graph, from_tree=True).name == "dphyp"
 
 
 class TestOperatorTrees:
     def test_auto_tree_resolves_to_dphyp(self):
-        tree = join_chain_tree(16)
-        result = Optimizer(
-            OptimizerConfig(algorithm="auto", exact_threshold=20)
-        ).optimize(tree)
+        tree = join_chain_tree(EXACT_MAX_RELATIONS)
+        result = Optimizer(OptimizerConfig(algorithm="auto")).optimize(tree)
         assert result.algorithm == "dphyp"
         assert result.requested_algorithm == "auto"
         assert result.plan is not None

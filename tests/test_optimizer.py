@@ -93,10 +93,10 @@ class TestConfig:
         assert opt.config.algorithm == "dpsize"
 
     def test_config_plus_overrides(self):
-        base = OptimizerConfig(algorithm="dphyp", exact_threshold=9)
+        base = OptimizerConfig(algorithm="dphyp", default_cardinality=9.0)
         opt = Optimizer(base, algorithm="greedy")
         assert opt.config.algorithm == "greedy"
-        assert opt.config.exact_threshold == 9
+        assert opt.config.default_cardinality == 9.0
 
     def test_unknown_algorithm_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

@@ -157,16 +157,15 @@ class TestCacheKeys:
         assert base.cache_key() != \
             OptimizerConfig(cost_model=HashJoinModel()).cache_key()
         assert base.cache_key() != \
-            OptimizerConfig(exact_threshold=5).cache_key()
+            OptimizerConfig(mode="tes-filter").cache_key()
 
     def test_config_key_ignores_plumbing(self):
         base = OptimizerConfig()
         assert base.cache_key() == OptimizerConfig(cache="on").cache_key()
         assert base.cache_key() == \
             OptimizerConfig(parallel_workers=4).cache_key()
-        # exact_threshold only matters under "auto" dispatch
-        assert OptimizerConfig(algorithm="dphyp").cache_key() == \
-            OptimizerConfig(algorithm="dphyp", exact_threshold=5).cache_key()
+        assert base.cache_key() == \
+            OptimizerConfig(default_cardinality=5.0).cache_key()
 
     def test_config_validation_of_new_fields(self):
         with pytest.raises(ValueError):

@@ -161,16 +161,26 @@ class TestWorkerInternals:
         assert "plan_cache" not in payload["stats"]
 
     def test_worker_computes_with_the_parent_resolution(self):
-        """The task's registration wins over the worker's own "auto"
-        resolution: the parent may have promoted a borderline query to
-        exact enumeration from its cache's structure statistics, and
-        the result is stored under that registration's key."""
-        config = OptimizerConfig(cache="on", exact_threshold=5)
-        _process_worker_init(pickle.dumps(config), [])
+        """The task's registration wins over the worker's own config:
+        the parent stores the result under the key of the registration
+        it resolved, so the worker must run exactly that one."""
         query = generators.chain(6, seed=2)
-        exact = _process_worker_run((query, "dphyp"))
-        greedy = _process_worker_run((query, "greedy"))
-        assert exact["stats"]["ccp_emitted"] > greedy["stats"]["ccp_emitted"]
+        runs = {}
+        for configured in ("dphyp", "greedy"):
+            _process_worker_init(
+                pickle.dumps(
+                    OptimizerConfig(cache="on", algorithm=configured)
+                ),
+                [],
+            )
+            for shipped in ("dphyp", "greedy"):
+                payload = _process_worker_run((query, shipped))
+                runs[configured, shipped] = (
+                    payload["recipe"], payload["stats"]["ccp_emitted"]
+                )
+        assert runs["dphyp", "greedy"] == runs["greedy", "greedy"]
+        assert runs["greedy", "dphyp"] == runs["dphyp", "dphyp"]
+        assert runs["dphyp", "dphyp"][1] > runs["greedy", "greedy"][1]
 
     def test_cache_false_workers_really_enumerate(self):
         """The per-call cache override reaches the workers.

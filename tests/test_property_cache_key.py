@@ -39,8 +39,8 @@ COST_MODELS = st.sampled_from([
 
 @st.composite
 def configs(draw):
-    # algorithm stays "auto" so exact_threshold participates in the
-    # key; the algorithm field itself is perturbed explicitly below.
+    # algorithm stays "auto"; the algorithm field itself is perturbed
+    # explicitly below.
     return OptimizerConfig(
         algorithm="auto",
         cost_model=draw(COST_MODELS),
@@ -51,7 +51,6 @@ def configs(draw):
         on_disconnected=draw(
             st.sampled_from(("raise", "connect", "plan-none"))
         ),
-        exact_threshold=draw(st.integers(min_value=1, max_value=30)),
         cache=draw(st.sampled_from(("auto", "on", "off"))),
         cache_size=draw(st.integers(min_value=1, max_value=4096)),
         cache_path=draw(st.sampled_from((None, "a.sqlite", "b.sqlite"))),

@@ -7,7 +7,13 @@ whichever way the plan was produced:
 
 * serial, thread-pool and ``executor="process"`` ``optimize_many``;
 * a cold cache and the warm cache that follows it;
-* before and after a :class:`~repro.cache.store.PlanStore` restart.
+* before and after a :class:`~repro.cache.store.PlanStore` restart;
+* the plan-serving daemon (pipelined :meth:`~repro.serving.client.
+  PlanClient.optimize_many`) and a two-shard
+  :class:`~repro.serving.shard.ShardRouter` fleet.
+
+The daemons live for the whole module, so later examples also run
+against caches that earlier examples filled.
 
 Only costs are compared: when the root cardinality absorbs the
 intermediate costs, different join trees can tie bit for bit, and the
@@ -17,10 +23,12 @@ tree a cache hit serves is the one its first requester computed.
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.optimizer import Optimizer, OptimizerConfig
+from repro.optimizer import Optimizer, OptimizerConfig, QuerySpec
+from repro.serving import BackgroundServer, PlanClient, ShardRouter
 from repro.workloads import generators
 from repro.workloads.random_queries import (
     random_hypergraph_query,
@@ -63,6 +71,31 @@ def costs(results):
     return [result.cost for result in results]
 
 
+def specs(batch):
+    return [
+        QuerySpec.from_hypergraph(query.graph, query.cardinalities)
+        for query in batch
+    ]
+
+
+def served_costs(answers):
+    assert all(answer["ok"] and answer["plannable"] for answer in answers)
+    return [answer["cost"] for answer in answers]
+
+
+@pytest.fixture(scope="module")
+def daemon():
+    with BackgroundServer(OptimizerConfig(cache="on")) as server:
+        yield server
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    with BackgroundServer(OptimizerConfig(cache="on")) as first, \
+            BackgroundServer(OptimizerConfig(cache="on")) as second:
+        yield [first.address, second.address]
+
+
 @settings(**COMMON)
 @given(batch=batches())
 def test_cost_is_identical_across_executors_cache_and_restart(batch):
@@ -99,3 +132,20 @@ def test_cost_is_identical_across_executors_cache_and_restart(batch):
             r.stats.extra["plan_cache"]["event"] == "hit" for r in served
         )
         assert costs(served) == expected
+
+
+@settings(**COMMON)
+@given(batch=batches())
+def test_cost_is_identical_through_the_daemon_and_shards(
+    batch, daemon, fleet
+):
+    expected = costs(Optimizer(OptimizerConfig(cache="on")).optimize_many(
+        batch
+    ))
+    wire = specs(batch)
+    with PlanClient(daemon.address) as client:
+        assert served_costs(client.optimize_many(wire)) == expected
+        assert served_costs(client.optimize_many(wire)) == expected
+    with ShardRouter(fleet) as router:
+        assert served_costs(router.optimize_many(wire)) == expected
+        assert served_costs(router.optimize_many(wire)) == expected

@@ -14,7 +14,11 @@ from repro import (
 )
 from repro.api import ALGORITHMS
 from repro.core import bitset
-from repro.registry import check_capabilities, select_auto
+from repro.registry import (
+    EXACT_MAX_RELATIONS,
+    check_capabilities,
+    select_auto,
+)
 from repro.workloads import generators
 
 
@@ -125,10 +129,8 @@ class TestCapabilities:
 
 
 class TestAutoDispatch:
-    THRESHOLD = 14
-
     def pick(self, graph):
-        return select_auto(graph, self.THRESHOLD).name
+        return select_auto(graph).name
 
     def test_small_simple_shapes_get_kernel(self):
         # dpccp stays registered as a baseline but is never auto-picked
@@ -155,17 +157,23 @@ class TestAutoDispatch:
         # acceptance criterion, sweep over shapes and sizes
         for n in range(3, 25):
             for graph in (generators.chain(n).graph, complex_graph(n)):
-                info = select_auto(graph, self.THRESHOLD)
-                if n > self.THRESHOLD:
+                info = select_auto(graph)
+                if n > EXACT_MAX_RELATIONS:
                     assert not info.exact, (n, info.name)
                 if not graph.is_simple:
                     assert info.name != "dpccp", n
                     assert info.supports_hypergraphs, n
 
-    def test_threshold_is_configurable(self):
-        graph = generators.chain(8).graph
-        assert select_auto(graph, 5).name == "greedy"
-        assert select_auto(graph, 8).name == "dphyp"
+    def test_cut_sits_at_the_constant(self):
+        assert EXACT_MAX_RELATIONS == 14
+        for graph in (generators.chain(14).graph, generators.cycle(14).graph,
+                      complex_graph(14)):
+            assert select_auto(graph).name == "dphyp"
+            assert select_auto(graph, from_tree=True).name == "dphyp"
+        for graph in (generators.chain(15).graph, generators.cycle(15).graph,
+                      complex_graph(15)):
+            assert select_auto(graph).name == "greedy"
+            assert select_auto(graph, from_tree=True).name == "greedy"
 
     def test_registered_heuristic_can_win_the_fallback(self):
         register_algorithm(AlgorithmInfo(
