@@ -211,3 +211,25 @@ class TestAutoIgnoresCacheHistory:
         after = self.served(warmed, query)
         assert after == fresh
         assert fresh[0] == "greedy"
+
+    @pytest.mark.parametrize(
+        "shape, n", [("chain", 15), ("chain", 16), ("cycle", 15)]
+    )
+    def test_borderline_size_after_a_same_shape_query(self, shape, n):
+        # sizes just above EXACT_MAX_RELATIONS, where a hot shape used
+        # to be promoted to exact enumeration
+        make = getattr(generators, shape)
+        query = make(n, seed=2)
+        fresh = self.served(Optimizer(OptimizerConfig(cache="on")), query)
+        warmed = Optimizer(OptimizerConfig(cache="on"))
+        warmed.optimize(make(n, seed=1))
+        assert self.served(warmed, query) == fresh
+        assert fresh[0] == "greedy"
+
+    def test_explicit_dphyp_still_overrides_the_cut(self):
+        query = generators.cycle(16, seed=2)
+        auto = Optimizer().optimize(query)
+        exact = Optimizer(OptimizerConfig(algorithm="dphyp")).optimize(query)
+        assert auto.algorithm == "greedy"
+        assert exact.algorithm == "dphyp"
+        assert exact.cost <= auto.cost
