@@ -15,9 +15,9 @@ every module under a ``cache/`` directory:
   (``hashlib`` digests are the sanctioned, stable alternative).
 
 The serving daemon (:mod:`repro.serving`) lives under the same
-contract: its wire protocol is length-prefixed JSON and its worker
-warm-ups ship ``sync_since`` deltas, so
-``serving/`` modules are covered too.  (The stdlib
+contract: its wire protocol is length-prefixed JSON, so ``serving/``
+modules are covered too.  (Its worker pool is the batch backend's,
+built by :func:`repro.optimizer._process_pool`; the stdlib
 ``ProcessPoolExecutor`` pickles *internally* between parent and forked
 children — that is trusted same-machine IPC, not a file or socket
 format, and needs no ``pickle`` import in serving code.)

@@ -18,8 +18,8 @@ The counters are plain ints updated under the lock and read without it
 Pickle-safety: a :class:`PlanCache` is **not** picklable — it owns a
 ``threading.Lock``.  Its *contents* — keys (nested tuples of
 ints/strings/floats) and recipes (nested int tuples) — cross process
-boundaries as :meth:`PlanCache.sync_since` deltas (serving workers,
-the SQLite store) or as the JSON document of
+boundaries as :meth:`PlanCache.sync_since` deltas (the SQLite
+store) or as the JSON document of
 :mod:`repro.cache.persist`; the persistence layer's
 ``repr``/``literal_eval`` round-trip relies on that tuple grammar.
 
@@ -88,8 +88,8 @@ class CacheDelta:
     #: only when the consumer asked for it
     #: (``sync_since(..., include_order=True)``).  Mirror consumers
     #: (the SQLite store's force syncs) reconcile drops and LRU
-    #: evictions against it; additive consumers (worker warm-up,
-    #: routine store autosaves) ignore it.
+    #: evictions against it; additive consumers (routine store
+    #: autosaves) ignore it.
     order: "Optional[tuple[Any, ...]]" = None
 
     @property
@@ -110,7 +110,7 @@ class PlanCache:
     * ``evictions`` — entries dropped by the LRU bound;
     * ``stores`` — entries written (insert or refresh);
     * ``restored`` — entries bulk-inserted by the persistence layer
-      (:meth:`absorb` — disk loads and serving-worker warm-ups);
+      (:meth:`absorb` — disk loads);
     * ``canonical_fallbacks`` — lookups keyed through the
       budget-exhausted index-order fallback instead of a true
       canonical labeling (see :meth:`note_canonical_fallback`).
@@ -258,12 +258,12 @@ class PlanCache:
         """Atomic delta: everything written after mutation ``mutation_id``.
 
         One lock acquisition yields a consistent ``(now, epoch,
-        entries)`` triple — the API both worker delta-warming and
-        autosave change-detection build on, replacing the racy pattern
+        entries)`` triple — the API the plan store's incremental
+        autosave builds on, replacing the racy pattern
         of reading ``mutations`` and snapshotting entries in separate
         steps (a concurrent :meth:`bump_epoch` could land in between).
 
-        ``sync_since(0)`` is a full warm-up (every fresh entry
+        ``sync_since(0)`` is a full snapshot (every fresh entry
         qualifies); ``delta.empty`` means nothing changed at all.  Note
         that a delta with no entries need *not* be empty: epoch bumps
         and drops advance ``now`` without adding entries, and consumers

@@ -35,8 +35,9 @@ graph are safe because replay only *reads* the graph (via
 Pickle-safety: a recipe is nested tuples of ints and floats —
 picklable, JSON- and ``repr``-round-trippable as long as every float
 is finite — which is exactly why recipes (not :class:`Plan` objects)
-are what the persistence layer writes to disk and what
-``optimize_many(executor="process")`` workers send back to the parent.
+are what the persistence layer writes to disk and what the process
+pool's workers (``optimize_many(executor="process")`` and the serving
+daemon's) send back to the parent.
 Non-finite floats (``repr(inf)`` is not a literal) are kept out of
 persistence by :func:`repro.cache.persist.serialize_entry`.  Anything
 that widens :data:`PlanRecipe` beyond plain literals must keep

@@ -8,8 +8,8 @@ persist`) is the export/import interchange format only
 import_document`):
 
 * **incremental writes** — :meth:`PlanStore.sync_from` consumes the
-  same :meth:`~repro.cache.plan_cache.PlanCache.sync_since` mutation
-  cursor the serving workers warm from, upserting exactly the entries
+  :meth:`~repro.cache.plan_cache.PlanCache.sync_since` mutation
+  cursor, upserting exactly the entries
   written since the last sync (O(delta) rows, never a full rewrite);
 * **bounded retention** — per-entry TTLs (``ttl``), an on-disk size
   budget (``size_budget``) enforced LRU-first, and an optional

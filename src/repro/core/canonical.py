@@ -49,8 +49,8 @@ across processes and interpreter restarts* (SHA-256 over a
 canonical encoding; no ``hash()`` randomization anywhere), which is
 what makes plan-cache keys meaningful in a file written by one process
 and read by another.  The plan store (:mod:`repro.cache.store`), the
-JSON interchange document (:mod:`repro.cache.persist`) and the
-serving workers' delta warm-ups load-bear on this guarantee.
+JSON interchange document (:mod:`repro.cache.persist`) load-bear on
+this guarantee.
 """
 
 from __future__ import annotations

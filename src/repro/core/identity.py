@@ -14,11 +14,10 @@ serve plans computed under a different cost function or solver.
 marker plus a per-process random nonce.  Keys carrying the brand
 
 * still work normally in-process, and in workers started by **fork**
-  (the Linux default), which inherit the nonce — entries shipped to
-  serving workers as deltas stay reachable.  Workers started by
+  (the Linux default), which inherit the nonce.  Workers started by
   ``spawn`` or ``forkserver`` re-import this module and mint a fresh
-  nonce, so branded shipped entries are unreachable there — those
-  queries simply re-enumerate (wasted work, never a wrong plan);
+  nonce; pool workers hold no cache, so they never look such keys up
+  (the parent does);
 * can never collide with keys minted by another process (fresh nonce);
 * are recognizable (:func:`is_process_scoped`), so the persistence
   layer refuses to write them to disk and skips them on load —

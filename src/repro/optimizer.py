@@ -37,6 +37,7 @@ import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     ClassVar,
@@ -76,6 +77,9 @@ from .registry import (
     select_auto,
     snapshot_registrations,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 # -- declarative query specification ---------------------------------------
@@ -1062,10 +1066,10 @@ class Optimizer:
             executor: ``"thread"`` (default) or ``"process"``; the
                 per-call override of ``OptimizerConfig.executor``.  The
                 process backend sidesteps the GIL: queries are shipped
-                to worker processes (warmed from a read-only snapshot
-                of the shared cache), plans come back as compact
-                recipes, and the parent replays them so the shared
-                cache is populated once.  Results are identical to the
+                to stateless worker processes (no cache of their
+                own), plans come back as compact recipes, and the
+                parent replays them so the shared cache is populated
+                once.  Results are identical to the
                 thread backend's; operator-tree queries are optimized
                 in the parent (their compiled plans are not
                 recipe-portable).
@@ -1134,9 +1138,6 @@ class Optimizer:
         locally, as the serial run does — it never replays the
         leader's identity-space recipe on its own graph.
         """
-        import pickle
-        from concurrent.futures import ProcessPoolExecutor
-
         from .algebra.optree import TreeNode  # local: avoid import cycle
 
         results: list = [None] * len(items)
@@ -1163,24 +1164,11 @@ class Optimizer:
             # worker payload does not normalize/fingerprint again
             offload.append((index, ctx, task))
         if tasks:
-            try:
-                config_blob = pickle.dumps(self.config)
-            except Exception as exc:
-                raise ValueError(
-                    'optimize_many(executor="process") needs a picklable '
-                    "OptimizerConfig; custom cost models and pipeline "
-                    "stages must be module-level classes "
-                    f"(pickling failed with: {exc})"
-                ) from exc
             if workers is None:
                 workers = os.cpu_count() or 1
             n_workers = max(1, min(workers, len(tasks)))
             chunksize = max(1, len(tasks) // (n_workers * 4))
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_process_worker_init,
-                initargs=(config_blob, snapshot_registrations()),
-            ) as pool:
+            with _process_pool(self.config, n_workers) as pool:
                 payloads = pool.map(
                     _process_worker_run, tasks, chunksize=chunksize
                 )
@@ -1231,15 +1219,31 @@ class Optimizer:
         )
         stages.normalize(ctx)
         stages.fingerprint(ctx)
+        return ctx, self._serve_if_fresh(ctx)
+
+    def _serve_if_fresh(
+        self, ctx: PipelineContext
+    ) -> Optional[OptimizationResult]:
+        """Serve a prepared context from its cache if the entry is fresh.
+
+        A side-effect-free peek first, so a miss stays uncounted; only
+        a fresh entry runs the counted lookup and replay.  ``None``
+        means the caller must compute (miss, stale entry, uncacheable
+        query or replay failure).  The serving daemon calls this again
+        for a request that waited on an in-flight duplicate: it then
+        hits the entry the duplicate's result was stored under.
+        """
+        cache = ctx.cache
         if cache is None or ctx.key_info is None:
-            return ctx, None
+            return None
         _entry, status = cache.peek(ctx.key_info.key)
         if status != "hit":
-            return ctx, None
+            return None
+        stages = self.config.pipeline
         stages.cache.lookup(ctx)
         if not ctx.cache_hit:
-            return ctx, None
-        return ctx, stages.finalize(ctx)
+            return None
+        return stages.finalize(ctx)
 
     def _absorb_recipe(
         self,
@@ -1323,16 +1327,84 @@ class Optimizer:
 _WORKER_STATE: dict = {}
 
 
-def _process_worker_init(config_blob: bytes, registrations: list) -> None:
-    """Initializer run once in each ``optimize_many`` worker process.
+def _process_pool(
+    config: OptimizerConfig, workers: int
+) -> "ProcessPoolExecutor":
+    """The worker pool every process-side computation runs in.
 
-    Restores custom algorithm registrations *before* unpickling the
-    config (whose validation resolves algorithm names).  The config is
-    all a worker keeps: it holds no cache, so it never reads or writes
-    ``cache_path`` and its plans cannot depend on cache history.
+    ``optimize_many(executor="process")`` builds one per batch and the
+    serving daemon one for its lifetime (and again after a worker
+    crash); both ship ``(query, algorithm)`` tasks to
+    :func:`_process_worker_run`.  The config is pickled here, in the
+    parent, so an unpicklable one fails once with a clear error rather
+    than in every worker.
+    """
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        config_blob = pickle.dumps(config)
+    except Exception as exc:
+        raise ValueError(
+            "a process pool needs a picklable OptimizerConfig; custom "
+            "cost models and pipeline stages must be module-level "
+            f"classes (pickling failed with: {exc})"
+        ) from exc
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_process_worker_init,
+        initargs=(config_blob, snapshot_registrations()),
+    )
+
+
+def _close_inherited_inet_sockets() -> None:
+    """Drop the parent's TCP file descriptors from this worker.
+
+    Under the ``fork`` start method a worker inherits every open fd of
+    its parent — in the serving daemon that includes the *listening*
+    socket and any accepted client connections alive at fork time.
+    Workers never serve those fds, but holding them has real
+    consequences: the kernel keeps accepting connections on the
+    daemon's port after the parent closed the listener (shutdown looks
+    incomplete to clients), and a client waiting for EOF never sees
+    the FIN until the worker exits.  Multiprocessing's own control
+    channels are pipes and unix-domain sockets, so closing only the
+    inet families is always safe; under ``spawn``/``forkserver``
+    nothing is inherited, and outside a pool worker (a test calling
+    the initializer in-process) this is a no-op.
+    """
+    import multiprocessing
+    import socket
+
+    if multiprocessing.parent_process() is None:
+        return
+    try:
+        fd_names = os.listdir("/proc/self/fd")
+    except OSError:  # pragma: no cover - non-procfs platform
+        return
+    for name in fd_names:
+        try:
+            sock = socket.socket(fileno=int(name))
+        except (OSError, ValueError):
+            continue  # not a socket (or already gone)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.close()
+        else:
+            sock.detach()  # release ownership without closing
+
+
+def _process_worker_init(config_blob: bytes, registrations: list) -> None:
+    """Initializer run once in each pool worker process.
+
+    Drops inherited inet sockets, then restores custom algorithm
+    registrations *before* unpickling the config (whose validation
+    resolves algorithm names).  The config is all a worker keeps: it
+    holds no cache, so it never reads or writes ``cache_path`` and its
+    plans cannot depend on cache history.
     """
     import pickle
 
+    _close_inherited_inet_sockets()
     restore_registrations(registrations)
     _WORKER_STATE["config"] = pickle.loads(config_blob)
 

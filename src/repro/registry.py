@@ -321,9 +321,9 @@ def restore_registrations(infos: "list[AlgorithmInfo]") -> None:
     """Adopt a :func:`snapshot_registrations` snapshot (worker side).
 
     Registrations already present and identical are left untouched —
-    crucially this keeps their registration tokens, so plan-cache keys
-    computed in a forked worker line up with the parent's warm-up
-    snapshot.  Only genuinely new or changed records (re-)register.
+    crucially this keeps their registration tokens, so a forked
+    worker resolves every name to the same registration as its
+    parent.  Only genuinely new or changed records (re-)register.
     """
     for info in infos:
         if _REGISTRY.get(info.name) == info:

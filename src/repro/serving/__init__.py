@@ -1,31 +1,25 @@
 """The plan-serving daemon: a resident optimizer behind a socket.
 
 ``optimize_many(executor="process")`` builds and tears down a worker
-pool per batch and re-warms every cold worker with a full cache
-snapshot.  This package is the long-lived alternative:
+pool per batch.  This package is the long-lived alternative:
 
 * :class:`~repro.serving.server.PlanServer` — asyncio front end plus a
-  **persistent** ``ProcessPoolExecutor`` shared across requests, with
-  admission control and graceful, autosaving shutdown;
-* incremental worker warming — workers receive
-  :meth:`~repro.cache.plan_cache.PlanCache.sync_since` deltas (only
-  the entries added since their last sync) instead of full snapshots
-  (:mod:`repro.serving.sync`);
+  **persistent** ``ProcessPoolExecutor`` of the batch backend's
+  stateless workers, shared across requests, with in-flight
+  coalescing of duplicate misses, admission control and graceful,
+  autosaving shutdown;
 * :class:`~repro.serving.client.PlanClient` — blocking client over the
   length-prefixed JSON protocol (:mod:`repro.serving.protocol`); v2
   requests carry an ``id`` and :meth:`~repro.serving.client.PlanClient.
   optimize_many` keeps a window of them in flight (pipelining), with
   per-client cache namespaces;
-* :class:`~repro.serving.shared_tier.HotTierPublisher` /
-  :class:`~repro.serving.shared_tier.HotTierReader` — the
-  shared-memory hot-plan tier pool workers probe before computing;
 * :class:`~repro.serving.shard.ShardRouter` — fingerprint-sharded
   client across M daemons, with dead-shard fallback-to-compute;
 * :class:`~repro.serving.runner.BackgroundServer` — in-process harness
   for tests, benches, and doc snippets;
 * ``python -m repro.serving`` — the standalone daemon.
 
-See ``docs/serving.md`` for the protocol and the delta-warming design.
+See ``docs/serving.md`` for the protocol and the coalescing design.
 """
 
 from .client import DEFAULT_PIPELINE_DEPTH, PlanClient, ServerError
@@ -39,8 +33,6 @@ from .protocol import (
 from .runner import BackgroundServer
 from .server import PROTOCOL_VERSION, PlanServer
 from .shard import ShardRouter
-from .shared_tier import HotTierPublisher, HotTierReader
-from .sync import DeltaTracker
 
 __all__ = [
     "PlanClient",
@@ -55,7 +47,4 @@ __all__ = [
     "BackgroundServer",
     "PlanServer",
     "ShardRouter",
-    "HotTierPublisher",
-    "HotTierReader",
-    "DeltaTracker",
 ]

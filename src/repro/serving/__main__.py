@@ -21,7 +21,6 @@ from .server import (
     DEFAULT_QUEUE_LIMIT,
     PlanServer,
 )
-from .shared_tier import DEFAULT_TIER_BYTES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,11 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--idle-timeout", type=float, default=None,
         help="close connections idle for this many seconds "
         "(default: never)",
-    )
-    parser.add_argument(
-        "--shared-tier-bytes", type=int, default=DEFAULT_TIER_BYTES,
-        help="size of the shared-memory hot-plan segment workers probe "
-        "before computing (0 disables the tier)",
     )
     parser.add_argument(
         "--cache-path", default=None,
@@ -118,7 +112,6 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         queue_limit=args.queue_limit,
         pipeline_window=args.pipeline_window,
         idle_timeout=args.idle_timeout,
-        shared_tier_bytes=args.shared_tier_bytes,
         debug_ops=args.debug_ops,
     )
     asyncio.run(_serve(server))

@@ -8,24 +8,25 @@ One :class:`PlanServer` owns
   shutdown and on the ``save`` op),
 * a **persistent** ``ProcessPoolExecutor`` reused across requests —
   the whole point of the daemon: ``optimize_many(executor="process")``
-  pays pool spawn per batch, a resident pool pays it once and stays
-  warm via
-  :meth:`~repro.cache.plan_cache.PlanCache.sync_since` deltas
-  (:mod:`repro.serving.sync`),
+  pays pool spawn per batch, a resident pool pays it once.  Its
+  workers are the batch backend's stateless ones
+  (:func:`repro.optimizer._process_pool`): ``compute((query,
+  algorithm)) -> recipe``, no cache, nothing to keep warm,
 * an asyncio TCP front end on localhost speaking the length-prefixed
   JSON protocol of :mod:`repro.serving.protocol`.
 
 Request lifecycle for ``optimize``: a parent-side cache probe first —
 hits are replayed in the event loop without ever taking an admission
-slot, so a hot working set cannot queue behind pool-bound misses —
-then admission control (bounded in-flight + bounded queue, explicit
-``overloaded`` rejection) for actual misses, which ship to a worker
-carrying the current cache delta.  The worker's identity-space recipe
-is absorbed into the shared cache by the parent, exactly like the
-batch backend, so the cache evolves deterministically — and then
-republished into the shared-memory hot tier
-(:mod:`repro.serving.shared_tier`) so sibling workers see it at their
-next task without waiting for a shipped delta.
+slot, so a hot working set cannot queue behind pool-bound misses.  A
+miss whose cache key is already being computed (a concurrent
+duplicate) waits for that computation instead of shipping its own
+(*coalescing*, one future per in-flight key) and then hits the entry
+it stored.  Every other miss takes admission control (bounded
+in-flight + bounded queue, explicit ``overloaded`` rejection) and
+ships the query plus the registration the parent resolved to a
+worker.  The worker's identity-space recipe is absorbed into the
+shared cache by the parent, exactly like the batch backend, so the
+cache evolves deterministically.
 
 Protocol v2 — pipelining: a request carrying an ``id`` is dispatched
 concurrently (one asyncio task per request, bounded by
@@ -55,8 +56,14 @@ from typing import Any, Optional
 
 from ..cache.plan_cache import PlanCache
 from ..cache.store import PlanStore
-from ..optimizer import OptimizationResult, Optimizer, OptimizerConfig
-from ..registry import snapshot_registrations
+from ..optimizer import (
+    OptimizationResult,
+    Optimizer,
+    OptimizerConfig,
+    PipelineContext,
+    _process_pool,
+    _process_worker_run,
+)
 from .protocol import (
     FrameTooLargeError,
     ProtocolError,
@@ -64,9 +71,7 @@ from .protocol import (
     read_frame,
     wire_to_spec,
 )
-from .shared_tier import DEFAULT_TIER_BYTES, HotTierPublisher
-from .sync import DeltaTracker
-from .worker import serving_worker_init, serving_worker_kill, serving_worker_run
+from .worker import serving_worker_kill
 
 #: protocol revision announced by the ``hello`` op (2 = per-request
 #: ids + pipelining; id-less v1 requests still work, serialized)
@@ -139,8 +144,6 @@ class PlanServer:
             before the server sends a ``timeout`` error and closes it
             (``None`` = never) — abandoned clients cannot hold fds
             forever.
-        shared_tier_bytes: size of the shared-memory hot-plan segment
-            workers probe before computing (``0`` disables the tier).
         debug_ops: enable the ``debug-sleep`` / ``debug-kill-worker``
             ops the failure-path tests use; never enable in real
             serving.
@@ -156,7 +159,6 @@ class PlanServer:
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         pipeline_window: int = DEFAULT_PIPELINE_WINDOW,
         idle_timeout: Optional[float] = None,
-        shared_tier_bytes: int = DEFAULT_TIER_BYTES,
         debug_ops: bool = False,
     ) -> None:
         if workers < 1:
@@ -169,8 +171,6 @@ class PlanServer:
             raise ValueError("pipeline_window must be at least 1")
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError("idle_timeout must be None or > 0 seconds")
-        if shared_tier_bytes < 0:
-            raise ValueError("shared_tier_bytes must be >= 0")
         if config is None:
             config = OptimizerConfig()
         self.config = config
@@ -197,7 +197,6 @@ class PlanServer:
         else:
             self._store = None
             self.cache = PlanCache(config.cache_size)
-        self._tracker = DeltaTracker(expected_workers=workers)
         self._lock = asyncio.Lock()
         self._optimizers: "dict[Optional[str], Optimizer]" = {}
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -208,24 +207,14 @@ class PlanServer:
         self._closing = False
         self._active = 0
         self._waiting = 0
-        if shared_tier_bytes:
-            #: shared-memory hot-plan segment — best effort: a platform
-            #: without usable POSIX shared memory serves without a tier
-            #: instead of failing to start
-            try:
-                self._tier: Optional[HotTierPublisher] = HotTierPublisher(
-                    capacity_bytes=shared_tier_bytes
-                )
-            except OSError:
-                self._tier = None
-        else:
-            self._tier = None
-        #: latest shared-tier counters reported by each worker (by pid)
-        self._worker_tier: "dict[int, dict[str, int]]" = {}
+        #: one future per cache key a pool task is computing; a
+        #: concurrent duplicate miss waits on it instead of shipping
+        self._in_flight: "dict[Any, asyncio.Future]" = {}
         self._counters: "dict[str, int]" = {
             "requests": 0,
             "served_parent": 0,
             "served_pool": 0,
+            "coalesced": 0,
             "rejected": 0,
             "protocol_errors": 0,
             "client_disconnects": 0,
@@ -244,18 +233,10 @@ class PlanServer:
         return self.host, self.port
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        tier_name = self._tier.name if self._tier is not None else None
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=serving_worker_init,
-            initargs=(self.config, snapshot_registrations(), tier_name),
-        )
+        return _process_pool(self.config, self.workers)
 
     async def start(self) -> None:
         """Bind the listener and build the worker pool."""
-        if self._tier is not None and len(self.cache):
-            # a warm-loaded cache seeds the tier before any task runs
-            self._tier.publish_from(self.cache)
         pool = self._make_pool()
         server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -326,9 +307,6 @@ class PlanServer:
             # release the store's connection (and stop its background
             # compactor, when one is running) after the final save
             self._store.close()
-        if self._tier is not None:
-            # the pool is down, no reader is left: unlink the segment
-            self._tier.close(unlink=True)
         self._stop_event.set()
         return {"ok": True, "drained": drained, "saved": saved}
 
@@ -336,9 +314,9 @@ class PlanServer:
         """Persist the shared cache to ``cache_path``, if configured.
 
         Delegates to the plan store, which skips the write when nothing
-        changed since the last save (the same
-        :meth:`~repro.cache.plan_cache.PlanCache.sync_since` cursor the
-        worker warm-ups ride) and otherwise upserts only the delta —
+        changed since the last save (its
+        :meth:`~repro.cache.plan_cache.PlanCache.sync_since` cursor)
+        and otherwise upserts only the delta —
         O(new entries) rows even when the cache holds thousands.
         ``force`` (the shutdown save) writes even a clean cache and
         lets the store reconcile dropped entries.
@@ -494,10 +472,6 @@ class PlanServer:
                 return {"ok": True, "entries": written}
             if op == "bump-epoch":
                 epoch = self.cache.bump_epoch()
-                if self._tier is not None:
-                    # republish so tier readers see the epoch move and
-                    # stop serving now-stale rows
-                    self._tier.publish_from(self.cache)
                 return {"ok": True, "epoch": epoch}
             if op == "shutdown":
                 return await self.shutdown(
@@ -525,9 +499,6 @@ class PlanServer:
             "queue_limit": self.queue_limit,
             "pipeline_window": self.pipeline_window,
             "idle_timeout": self.idle_timeout,
-            "shared_tier": (
-                self._tier.name if self._tier is not None else None
-            ),
         }
 
     async def _op_stats(self) -> "dict[str, Any]":
@@ -537,30 +508,14 @@ class PlanServer:
             server["queued"] = self._waiting
             server["closing"] = self._closing
             server["namespaces"] = len(self._optimizers)
-            worker_tier = [dict(c) for c in self._worker_tier.values()]
-        tier: "Optional[dict[str, Any]]" = None
-        if self._tier is not None:
-            workers_summed: "dict[str, int]" = {}
-            for counters in worker_tier:
-                for key, value in counters.items():
-                    if isinstance(value, int):
-                        workers_summed[key] = (
-                            workers_summed.get(key, 0) + value
-                        )
-            tier = {
-                "publisher": self._tier.counters(),
-                "workers": workers_summed,
-            }
         return {
             "ok": True,
             "server": server,
             "cache": self.cache.counters(),
-            "sync": self._tracker.counters(),
             "store": (
                 self._store.counters() if self._store is not None else None
             ),
             "structures": self.cache.structures(),
-            "shared_tier": tier,
         }
 
     async def _op_debug_sleep(
@@ -616,93 +571,98 @@ class PlanServer:
             ctx, served = optimizer._probe_for_process_batch(
                 spec, self.cache
             )
-            if served is not None:
-                async with self._lock:
-                    self._counters["served_parent"] += 1
-                return self._result_response(served, via="parent")
         except ValueError as exc:
             # planning-level rejection (e.g. disconnected graph under
             # the "raise" policy): the client's fault, not the server's
             return _error("bad-request", str(exc))
+        if served is None:
+            key = ctx.key_info.key if ctx.key_info is not None else None
+            async with self._lock:
+                leader = (
+                    self._in_flight.get(key) if key is not None else None
+                )
+                if leader is not None:
+                    self._counters["coalesced"] += 1
+                elif key is not None:
+                    self._in_flight[key] = (
+                        asyncio.get_running_loop().create_future()
+                    )
+            if leader is None:
+                try:
+                    return await self._compute(ctx, optimizer)
+                finally:
+                    # resolved on every outcome, failures included, so
+                    # a waiting duplicate never hangs
+                    if key is not None:
+                        async with self._lock:
+                            self._in_flight.pop(key).set_result(None)
+            # a duplicate of an in-flight miss: serve the leader's
+            # entry like any hit; if it is gone (evicted, epoch bumped,
+            # leader failed) compute anew
+            await asyncio.shield(leader)
+            served = optimizer._serve_if_fresh(ctx)
+            if served is None:
+                return await self._compute(ctx, optimizer)
+        async with self._lock:
+            self._counters["served_parent"] += 1
+        return self._result_response(served, via="parent")
+
+    async def _compute(
+        self, ctx: PipelineContext, optimizer: Optimizer
+    ) -> "dict[str, Any]":
+        """Admit one prepared miss, compute it in the pool, absorb it."""
         rejection = await self._admit()
         if rejection is not None:
             return rejection
         try:
-            return await self._optimize_miss(ctx, optimizer)
+            payload = await self._run_in_pool(ctx)
+            if payload is None:
+                return _error(
+                    "worker-failed",
+                    "the worker pool died twice on this request",
+                )
+            result = optimizer._absorb_recipe(
+                ctx, payload["recipe"], payload["stats"]
+            )
         except ValueError as exc:
             return _error("bad-request", str(exc))
         finally:
             await self._release()
-
-    async def _optimize_miss(
-        self, ctx: Any, optimizer: Optimizer
-    ) -> "dict[str, Any]":
-        payload = await self._run_in_pool(ctx)
-        if payload is None:
-            return _error(
-                "worker-failed",
-                "the worker pool died twice on this request",
-            )
-        self._tracker.record(payload["pid"], payload["synced_to"])
-        tier_counters = payload.get("tier")
-        if tier_counters:
-            async with self._lock:
-                self._worker_tier[payload["pid"]] = tier_counters
-        result = optimizer._absorb_recipe(
-            ctx, payload["recipe"], payload.get("stats")
-        )
-        if self._tier is not None:
-            # republish so sibling workers see this plan at their next
-            # task start, without waiting for a shipped delta
-            self._tier.publish_from(self.cache)
         async with self._lock:
             self._counters["served_pool"] += 1
         return self._result_response(result, via="pool")
 
     async def _run_in_pool(
-        self, ctx: Any
+        self, ctx: PipelineContext
     ) -> "Optional[dict[str, Any]]":
         """Ship one prepared miss to the pool; rebuild-and-retry once.
 
-        The task carries the cache delta above the pool's sync floor;
-        a ``BrokenProcessPool`` (worker killed mid-request) rebuilds
-        the pool — cold workers, tracker reset — and retries exactly
-        once.
+        The task is the query plus the registration the parent
+        resolved, so the worker computes under the key the parent
+        stores.  A ``BrokenProcessPool`` (worker killed mid-request)
+        rebuilds the pool — once, however many requests saw it break —
+        and retries exactly once.
         """
+        assert ctx.info is not None
+        task = (ctx.query, ctx.info.name)
         loop = asyncio.get_running_loop()
-        for attempt in (0, 1):
+        for _attempt in range(2):
             async with self._lock:
                 pool = self._pool
             if pool is None:
                 return None
-            delta = self.cache.sync_since(self._tracker.floor())
-            self._tracker.note_shipment(delta)
-            task = {
-                "query": request_wire(ctx),
-                "namespace": ctx.config.cache_namespace,
-                "delta": {
-                    "since": delta.since,
-                    "now": delta.now,
-                    "epoch": delta.epoch,
-                    "entries": delta.entries,
-                },
-            }
             try:
                 return await loop.run_in_executor(
-                    pool, serving_worker_run, task
+                    pool, _process_worker_run, task
                 )
             except BrokenProcessPool:
                 async with self._lock:
-                    broken, self._pool = self._pool, None
-                if broken is not None:
-                    broken.shutdown(wait=False)
-                if attempt == 1:
-                    return None
-                fresh = self._make_pool()
-                self._tracker.reset()
-                async with self._lock:
-                    self._pool = fresh
-                    self._counters["pool_rebuilds"] += 1
+                    rebuild = self._pool is pool
+                    if rebuild:
+                        self._pool = self._make_pool()
+                        self._counters["pool_rebuilds"] += 1
+                if rebuild:
+                    pool.shutdown(wait=False)
         return None
 
     def _result_response(
@@ -772,15 +732,3 @@ class PlanServer:
             self._active -= 1
         self._slots.release()
 
-
-def request_wire(ctx: Any) -> "dict[str, Any]":
-    """Wire form of the query held by a prepared pipeline context.
-
-    The context's original query is a ``QuerySpec`` (the server parses
-    every request into one), so this is just ``spec_to_wire`` — kept
-    as a function so the worker task stays plain JSON-shaped data plus
-    recipe tuples.
-    """
-    from .protocol import spec_to_wire
-
-    return spec_to_wire(ctx.query)

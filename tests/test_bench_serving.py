@@ -9,7 +9,6 @@ from repro.bench.serving import (
     build_pipeline_workload,
     build_workload,
     render_summary,
-    run_delta_sync_phase,
     run_pipeline_phase,
     run_serving_phase,
     validate_result,
@@ -62,27 +61,19 @@ class TestPipelineWorkload:
 
 class TestPipelinePhase:
     def test_tiny_run_produces_a_valid_section(self):
-        phase = run_pipeline_phase(
-            depth=4, groups=2, warm_entries=5,
-            require_tier_hits=False,  # too few requests to force the race
-        )
+        phase = run_pipeline_phase(depth=4, groups=2, warm_entries=5)
         assert phase["n_requests"] == 16
         assert phase["depth"] == 4
         assert phase["serial_qps"] > 0
         assert phase["pipelined_qps"] > 0
         assert phase["speedup"] > 0
         assert phase["pipelined_p99_ms"] >= phase["pipelined_p50_ms"] > 0
-        assert phase["tier"]["tier_hits"] >= 0
         assert phase["server"]["pipelined"] == 16
-
-
-class TestDeltaSyncPhase:
-    def test_ships_exactly_the_added_entries(self):
-        phase = run_delta_sync_phase(warm_entries=12, added_entries=7)
-        assert phase["delta_entries"] == 7
-        assert phase["full_entries"] == 19
-        assert phase["delta_bytes"] < phase["full_bytes"]
-        assert 0.0 < phase["bytes_ratio"] < 1.0
+        # one pool task per unique key, whichever way the duplicates
+        # met their originals (hard-asserted by the phase itself)
+        assert phase["unique_keys"] == 8
+        assert phase["serial_pool_tasks"] == 8
+        assert phase["pipelined_pool_tasks"] == 8
 
 
 class TestServingPhase:
@@ -101,17 +92,13 @@ class TestServingPhase:
             "python": "3",
             "serving": serving,
             "pipeline": run_pipeline_phase(
-                depth=2, groups=1, warm_entries=5,
-                require_tier_hits=False,
-            ),
-            "delta_sync": run_delta_sync_phase(
-                warm_entries=6, added_entries=4
+                depth=2, groups=1, warm_entries=5
             ),
         }
         validate_result(document)
         summary = render_summary(document)
         assert "resident daemon" in summary
-        assert "delta re-sync" in summary
+        assert "pool tasks" in summary
 
 
 class TestValidation:
@@ -124,7 +111,7 @@ class TestValidation:
                 key: 1 for key in (
                     "clients", "requests_per_client", "n_requests",
                     "daemon_qps", "baseline_qps", "speedup", "p50_ms",
-                    "p99_ms", "daemon_sync",
+                    "p99_ms", "daemon_server",
                 )
             },
             "pipeline": {
@@ -132,14 +119,9 @@ class TestValidation:
                     "depth", "n_requests", "workers", "serial_qps",
                     "pipelined_qps", "speedup", "serial_p50_ms",
                     "serial_p99_ms", "pipelined_p50_ms",
-                    "pipelined_p99_ms", "tier",
-                )
-            },
-            "delta_sync": {
-                key: 1 for key in (
-                    "warm_entries", "added_entries", "delta_entries",
-                    "delta_bytes", "full_entries", "full_bytes",
-                    "bytes_ratio",
+                    "pipelined_p99_ms", "unique_keys",
+                    "serial_pool_tasks", "pipelined_pool_tasks",
+                    "coalesced",
                 )
             },
         }
@@ -149,8 +131,8 @@ class TestValidation:
 
     def test_missing_top_level_key_rejected(self):
         document = self._minimal()
-        del document["delta_sync"]
-        with pytest.raises(ValueError, match="delta_sync"):
+        del document["pipeline"]
+        with pytest.raises(ValueError, match="pipeline"):
             validate_result(document)
 
     def test_missing_serving_key_rejected(self):

@@ -1,4 +1,4 @@
-"""Tests for incremental cache sync: mutation cursors, deltas, floors.
+"""Tests for incremental cache sync: mutation cursors and deltas.
 
 Covers the cache-layer sync API — ``PlanCache.mutations`` /
 ``sync_since`` / ``snapshot_state`` — plus the autosave
@@ -14,7 +14,6 @@ import pytest
 from repro.cache import PlanStore, persist
 from repro.cache.plan_cache import CacheDelta
 from repro.optimizer import Optimizer, OptimizerConfig, QuerySpec
-from repro.serving.sync import DeltaTracker
 from repro.workloads import generators
 
 
@@ -100,54 +99,10 @@ class TestSyncSince:
         assert persist.load(path).mutations == 2
 
 
-class TestDeltaTracker:
-    def test_floor_is_zero_until_all_workers_report(self):
-        tracker = DeltaTracker(expected_workers=2)
-        assert tracker.floor() == 0
-        tracker.record(pid=100, synced_to=7)
-        assert tracker.floor() == 0  # the second worker may be cold
-        tracker.record(pid=200, synced_to=5)
-        assert tracker.floor() == 5
-
-    def test_cursors_are_monotone_per_pid(self):
-        tracker = DeltaTracker(expected_workers=1)
-        tracker.record(pid=100, synced_to=9)
-        tracker.record(pid=100, synced_to=4)  # late reply, ignored
-        assert tracker.floor() == 9
-
-    def test_reset_drops_cursors_but_keeps_counters(self):
-        tracker = DeltaTracker(expected_workers=1)
-        tracker.record(pid=100, synced_to=9)
-        tracker.note_shipment(CacheDelta(since=0, now=9, epoch=0, entries=()))
-        tracker.reset()
-        assert tracker.floor() == 0
-        assert tracker.full_syncs == 1
-
-    def test_shipment_counters_split_full_vs_delta(self):
-        tracker = DeltaTracker(expected_workers=1)
-        entries = ((1, "k", ("recipe",), "s", 1.0),)
-        tracker.note_shipment(
-            CacheDelta(since=0, now=1, epoch=0, entries=entries)
-        )
-        tracker.note_shipment(
-            CacheDelta(since=1, now=2, epoch=0, entries=entries)
-        )
-        counters = tracker.counters()
-        assert counters["full_syncs"] == 1
-        assert counters["delta_syncs"] == 1
-        assert counters["delta_entries"] == 2
-        assert counters["snapshot_bytes"] == 2 * len(repr(entries))
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            DeltaTracker(expected_workers=0)
-
-
 class TestAutosaveChangeDetection:
     """Satellite: autosave must not race ``bump_epoch``.
 
-    Both autosave and worker warming key off the same atomic
-    ``sync_since`` cursor — a batch that produced no new entries skips
+    Autosave keys off the atomic ``sync_since`` cursor — a batch that produced no new entries skips
     the write, but *any* mutation (including a bare epoch bump between
     batches) makes the next autosave persist again.  ``PlanStore.syncs``
     counts the syncs that opened a write transaction.

@@ -28,6 +28,7 @@ from repro.registry import (
     snapshot_registrations,
     unregister_algorithm,
 )
+from repro.serving import PlanServer
 from repro.workloads import generators
 from repro.workloads.nonreorderable import star_antijoin_tree
 from repro.workloads.repeated import (
@@ -160,21 +161,25 @@ class TestWorkerInternals:
         assert payload["stats"]["ccp_emitted"] > 0
         assert "plan_cache" not in payload["stats"]
 
-    def test_worker_computes_with_the_parent_resolution(self):
+    @pytest.mark.parametrize("pool", ["batch", "daemon"])
+    def test_worker_computes_with_the_parent_resolution(self, pool):
         """The task's registration wins over the worker's own config:
         the parent stores the result under the key of the registration
-        it resolved, so the worker must run exactly that one."""
+        it resolved, so the worker must run exactly that one — in the
+        batch backend's workers and in the serving daemon's pool."""
         query = generators.chain(6, seed=2)
         runs = {}
         for configured in ("dphyp", "greedy"):
-            _process_worker_init(
-                pickle.dumps(
-                    OptimizerConfig(cache="on", algorithm=configured)
-                ),
-                [],
-            )
+            config = OptimizerConfig(cache="on", algorithm=configured)
             for shipped in ("dphyp", "greedy"):
-                payload = _process_worker_run((query, shipped))
+                if pool == "batch":
+                    _process_worker_init(pickle.dumps(config), [])
+                    payload = _process_worker_run((query, shipped))
+                else:
+                    with PlanServer(config)._make_pool() as executor:
+                        payload = executor.submit(
+                            _process_worker_run, (query, shipped)
+                        ).result()
                 runs[configured, shipped] = (
                     payload["recipe"], payload["stats"]["ccp_emitted"]
                 )

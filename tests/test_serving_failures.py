@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.optimizer import OptimizerConfig, QuerySpec
+from repro.optimizer import Optimizer, OptimizerConfig, QuerySpec
 from repro.serving import BackgroundServer, PlanClient, ServerError
 from repro.serving.protocol import (
     HEADER_BYTES,
@@ -27,6 +27,7 @@ from repro.serving.protocol import (
     encode_frame,
     recv_frame,
     send_frame,
+    spec_to_wire,
 )
 
 
@@ -67,6 +68,26 @@ class TestWorkerDeath:
             stats = client.stats()
             assert stats["server"]["pool_rebuilds"] == 1
 
+    def test_concurrent_breaks_rebuild_the_pool_once(self, server):
+        specs = [chain_spec(tag=30.0 + tag) for tag in range(3)]
+        frames = [{"op": "debug-kill-worker", "id": "kill"}] + [
+            {"op": "optimize", "query": spec_to_wire(spec), "id": index}
+            for index, spec in enumerate(specs)
+        ]
+        with socket.create_connection(server.address, timeout=30) as sock:
+            # every optimize task is queued behind the kill, so all of
+            # them see the same broken pool
+            sock.sendall(b"".join(encode_frame(f) for f in frames))
+            answers = {
+                answer["id"]: answer
+                for answer in (recv_frame(sock) for _ in frames)
+            }
+        for index in range(len(specs)):
+            assert answers[index]["ok"], answers[index]
+            assert answers[index]["via"] == "pool"
+        with PlanClient(server.address) as client:
+            assert client.stats()["server"]["pool_rebuilds"] == 1
+
     def test_shared_cache_survives_worker_death(self, server):
         with PlanClient(server.address) as client:
             first = client.optimize(chain_spec())
@@ -77,15 +98,20 @@ class TestWorkerDeath:
             assert again["via"] == "parent"
             assert again["cost"] == first["cost"]
 
-    def test_tracker_resets_to_full_warm_after_rebuild(self, server):
+    def test_rebuilt_pool_computes_the_oracle_plan(self, server):
         with PlanClient(server.address) as client:
             client.optimize(chain_spec())
-            before = client.stats()["sync"]["full_syncs"]
+            before = client.stats()["server"]["pool_rebuilds"]
             client.request({"op": "debug-kill-worker"})
-            client.optimize(chain_spec(tag=2.0))
-            sync = client.stats()["sync"]
-            # fresh workers are cold: the floor dropped back to 0
-            assert sync["full_syncs"] > before
+            spec = chain_spec(tag=2.0)
+            answer = client.optimize(spec)
+            assert client.stats()["server"]["pool_rebuilds"] > before
+            # fresh stateless workers compute the same plan
+            oracle = Optimizer(
+                OptimizerConfig(algorithm="dphyp-recursive", cache="off")
+            ).optimize(spec)
+            assert answer["via"] == "pool"
+            assert answer["cost"] == oracle.cost
 
 
 class TestClientDisconnects:

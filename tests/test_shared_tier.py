@@ -1,8 +1,9 @@
 """The shared-memory hot-plan tier: seqlock, epochs, trimming, races.
 
 Unit tests run publisher and reader in one process (shared memory does
-not care); the integration test at the bottom checks that real pool
-workers report tier hits through the ``stats`` op.
+not care).  No program module uses the tier; the module stays until
+its last importer, the repository benchmark's traced daemon launcher,
+drops it.
 """
 
 from __future__ import annotations
@@ -190,46 +191,3 @@ class TestReaderDegradation:
         assert reader.snapshot() is None
         assert reader.counters()["parse_failures"] == 1
         reader.close()
-
-
-class TestServerIntegration:
-    def test_workers_report_tier_hits(self):
-        """Duplicate misses racing through a 2-worker pool: the second
-        worker should find the first worker's plan in the tier (shipped
-        deltas are stale by construction at that point)."""
-        from repro.optimizer import OptimizerConfig, QuerySpec
-        from repro.serving import BackgroundServer, PlanClient
-
-        def spec(i: int) -> QuerySpec:
-            k = 3 + (i % 4)
-            return QuerySpec(
-                relations=[(f"q{i}_{j}", 90.0 + 10.0 * j + i)
-                           for j in range(k)],
-                joins=[(f"q{i}_{j}", f"q{i}_{j + 1}", 0.1)
-                       for j in range(k - 1)],
-            )
-
-        with BackgroundServer(
-            OptimizerConfig(cache="on"), workers=2,
-            max_in_flight=16, queue_limit=64,
-        ) as daemon:
-            with PlanClient(daemon.address) as client:
-                assert client.hello()["shared_tier"] is not None
-                specs = [spec(i) for i in range(10)]
-                answers = client.optimize_many(specs + specs, depth=8)
-                assert all(a["ok"] for a in answers)
-                tier = client.stats()["shared_tier"]
-                assert tier["publisher"]["publishes"] >= 1
-                assert tier["publisher"]["rows_published"] >= 1
-                assert tier["workers"].get("tier_refreshes", 0) >= 1
-
-    def test_tier_disabled_by_zero_bytes(self):
-        from repro.optimizer import OptimizerConfig
-        from repro.serving import BackgroundServer, PlanClient
-
-        with BackgroundServer(
-            OptimizerConfig(cache="on"), shared_tier_bytes=0
-        ) as daemon:
-            with PlanClient(daemon.address) as client:
-                assert client.hello()["shared_tier"] is None
-                assert client.stats()["shared_tier"] is None
