@@ -52,9 +52,12 @@ FINGERPRINTED_DEFINITIONS: "dict[str, tuple[str, ...]]" = {
         "process_token",
         "is_process_scoped",
     ),
-    # a recipe is served as stored, so its format is key semantics too
+    # a recipe is served as stored, so its format is key semantics too,
+    # and so is the problem it is enumerated on: that decides which of
+    # several equal-cost trees an entry holds
     "cache/recipe.py": (
         "plan_recipe",
+        "canonical_problem",
         "replay_recipe",
     ),
 }

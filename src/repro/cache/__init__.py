@@ -30,7 +30,7 @@ from .persist import (
     save_document,
 )
 from .plan_cache import DEFAULT_CAPACITY, CacheDelta, CacheEntry, PlanCache
-from .recipe import PlanRecipe, plan_recipe, replay_recipe
+from .recipe import PlanRecipe, canonical_problem, plan_recipe, replay_recipe
 from .store import PlanStore, is_store_path
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "PlanStore",
     "is_store_path",
     "PlanRecipe",
+    "canonical_problem",
     "plan_recipe",
     "replay_recipe",
 ]

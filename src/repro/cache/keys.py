@@ -48,7 +48,9 @@ from ..core.hypergraph import Hypergraph, payload_token
 #: never be served by code with different replay semantics).
 #: 2: recipes carry each join's cardinality and cost, multiplied in
 #: the estimator's labeling-invariant (value) order
-KEY_VERSION = 2
+#: 3: recipes are enumerated on the canonical problem, so an entry's
+#: tree no longer depends on which labeling created it
+KEY_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ plan holds the *entry creator's* hyperedges, payloads, and node
 bitmaps, which are wrong for an isomorphic requester with different
 names or node order.  Instead the cache stores a **recipe**: the join
 tree as nested tuples over *canonical* node ranks, preserving the
-left/right orientation chosen by the original optimization (asymmetric
-cost models price build and probe sides differently):
+left/right orientation the enumeration chose (asymmetric cost models
+price build and probe sides differently):
 
 * a leaf is a canonical rank (``int``);
 * a join is ``(left_recipe, right_recipe, cardinality, cost)`` — the
@@ -27,20 +27,21 @@ query computes the very same floats for corresponding plan nodes, bit
 for bit.  The recipe therefore equals what the requester's own builder
 would compute for that join order.
 
-Thread-safety: :func:`plan_recipe` and :func:`replay_recipe` are pure
-functions over their arguments; concurrent replays against one shared
-graph are safe because replay only *reads* the graph (via
-``connecting_edges``) and builds fresh :class:`Plan` objects.
+A miss enumerates the query's **canonical problem**
+(:func:`canonical_problem`), which every labeling of the query shares,
+so the recipe is the same whichever labeling computes it, and the miss
+is served by replaying it exactly like a hit.
 
-Pickle-safety: a recipe is nested tuples of ints and floats —
-picklable, JSON- and ``repr``-round-trippable as long as every float
-is finite — which is exactly why recipes (not :class:`Plan` objects)
-are what the persistence layer writes to disk and what the process
-pool's workers (``optimize_many(executor="process")`` and the serving
-daemon's) send back to the parent.
-Non-finite floats (``repr(inf)`` is not a literal) are kept out of
-persistence by :func:`repro.cache.persist.serialize_entry`.  Anything
-that widens :data:`PlanRecipe` beyond plain literals must keep
+Thread-safety: all three functions are pure; replay only *reads* the
+graph and builds fresh :class:`Plan` objects, so concurrent replays
+against one graph are safe.
+
+Pickle-safety: a recipe is nested tuples of ints and floats, so it
+pickles and round-trips through JSON and ``repr`` (while every float
+is finite; :func:`repro.cache.persist.serialize_entry` keeps the rest
+out of persistence).  That is why recipes, not plans, are written to
+disk and sent back by process-pool workers; widening
+:data:`PlanRecipe` beyond plain literals must keep
 :mod:`repro.cache.persist` and the process-pool protocol in sync.
 """
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from ..core import bitset
-from ..core.hypergraph import Hypergraph
+from ..core.hypergraph import Hyperedge, Hypergraph
 from ..core.plans import Plan, PlanBuilder
 
 #: leaf = canonical node rank; join = (left, right, cardinality, cost)
@@ -70,6 +71,35 @@ def plan_recipe(plan: Plan, permutation: Sequence[int]) -> PlanRecipe:
         plan.cardinality,
         plan.cost,
     )
+
+
+def canonical_problem(
+    graph: Hypergraph,
+    cardinalities: Sequence[float],
+    permutation: Sequence[int],
+) -> "tuple[Hypergraph, list[float]]":
+    """The query relabeled by ``permutation`` (node -> canonical rank).
+
+    Each edge's sides go in a fixed order and the edges are sorted, as
+    a relabeling may also list them in another order; payloads and
+    names, which no cost depends on, are dropped.  Every labeling with
+    one canonical key thus yields the very same problem.
+    """
+    edges = []
+    for edge in graph.edges:
+        left = bitset.permute(edge.left, permutation)
+        right = bitset.permute(edge.right, permutation)
+        flex = bitset.permute(edge.flex, permutation)
+        edges.append((min(left, right), max(left, right), flex,
+                      edge.selectivity))
+    edges.sort()
+    ranked = [0.0] * graph.n_nodes
+    for node, rank in enumerate(permutation):
+        ranked[rank] = float(cardinalities[node])
+    return Hypergraph(graph.n_nodes, [
+        Hyperedge(left, right, flex, selectivity)
+        for left, right, flex, selectivity in edges
+    ]), ranked
 
 
 def replay_recipe(

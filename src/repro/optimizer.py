@@ -52,7 +52,9 @@ from .cache import (
     DEFAULT_CAPACITY,
     CacheKeyInfo,
     PlanCache,
+    PlanRecipe,
     build_cache_key,
+    canonical_problem,
     plan_recipe,
     replay_recipe,
     structure_bucket,
@@ -271,11 +273,11 @@ class PipelineContext:
 
     Stages communicate exclusively through this object: ``normalize``
     fills the prepared-query fields, ``fingerprint`` the cache key,
-    the cache stage the hit/event fields, ``dispatch`` the plan, and
-    ``finalize`` folds everything into the
-    :class:`OptimizationResult`.  Each run gets a fresh context, so
-    pipeline runs are independent and thread-safe as long as the
-    stages themselves stay stateless (the built-ins are).
+    the cache stage the hit/event fields, a hit or an absorbed miss the
+    recipe and its replayed plan, and ``finalize`` folds everything
+    into the :class:`OptimizationResult`.  Each run gets a fresh
+    context, so runs are independent and thread-safe as long as the
+    stages stay stateless (the built-ins are).
     """
 
     config: "OptimizerConfig"
@@ -298,7 +300,8 @@ class PipelineContext:
     # -- set by the cache stage
     cache_hit: bool = False
     cache_event: Optional[str] = None
-    # -- set by the dispatch stage (or a cache hit)
+    # -- set by a hit or an absorbed recipe (or, unkeyed, by dispatch)
+    recipe: Optional[PlanRecipe] = None
     plan: Optional[Plan] = None
 
 
@@ -458,7 +461,8 @@ class CacheStage:
     edges and names, with no estimator or cost-model call (see
     :mod:`repro.cache.recipe`); a stale entry (older statistics epoch)
     is recomputed and refreshed, surfacing as a ``"revalidated"``
-    event.
+    event.  A miss stores the canonical recipe it was served from
+    (:meth:`Optimizer._absorb_recipe`).
     """
 
     def lookup(self, ctx: PipelineContext) -> None:
@@ -479,6 +483,7 @@ class CacheStage:
                 ctx.cache.note_replay_failure(ctx.key_info.key)
                 ctx.cache_event = "replay_failed"
                 return
+            ctx.recipe = entry.recipe
             ctx.cache_hit = True
             ctx.cache_event = "hit"
         elif status == "stale":
@@ -496,7 +501,7 @@ class CacheStage:
             return
         ctx.cache.store(
             ctx.key_info.key,
-            plan_recipe(ctx.plan, ctx.key_info.permutation),
+            ctx.recipe,
             # computed here, not per-lookup: misses only
             structure=structure_bucket(ctx.graph),
             cost=ctx.plan.cost,
@@ -504,7 +509,8 @@ class CacheStage:
 
 
 class DispatchStage:
-    """Stage 4: run the resolved algorithm (cache miss path)."""
+    """Stage 4: run the resolved algorithm (cache miss path; on a keyed
+    miss, over the canonical problem — see :func:`_compute_recipe`)."""
 
     def __call__(self, ctx: PipelineContext) -> Optional[Plan]:
         return ctx.info.solver(ctx.graph, ctx.builder, ctx.stats)
@@ -1119,45 +1125,35 @@ class Optimizer:
     ) -> list[OptimizationResult]:
         """The ``executor="process"`` backend of :meth:`optimize_many`.
 
-        Queries already fresh in the shared cache are served in the
-        parent without touching the pool (a fully warm batch spawns no
-        processes at all).  The rest are grouped by cache key and each
-        group ships **one** task — its first query plus the
-        registration the parent resolved for it — to a stateless
-        worker: ``compute(query) -> recipe``, with no cache and no
-        snapshot of the parent's.  Uncacheable queries (and every
-        query when the cache is off) are groups of one.
-
-        The parent then absorbs the batch in input order, replaying
-        each recipe onto the requesting query — the worker's floats,
-        the requester's names — and the *shared* cache evolves exactly
-        as in a serial thread-backend run: a group's leader replays the
-        worker's identity-space recipe and stores it, and each
-        follower's counted lookup hits that entry.  A follower whose
-        entry is already gone (evicted inside the batch) dispatches
-        locally, as the serial run does — it never replays the
-        leader's identity-space recipe on its own graph.
+        Queries fresh in the shared cache are served in the parent (a
+        fully warm batch spawns no processes).  The rest are grouped by
+        cache key, and each group ships **one** :func:`_problem` task to
+        a stateless worker; uncacheable queries (every query when the
+        cache is off) are groups of one.  The parent absorbs the batch
+        in input order, each query with its group's recipe, so the
+        shared cache evolves exactly as in a serial run: the first
+        absorb stores the entry, later ones hit it, and one whose entry
+        was evicted inside the batch replays the recipe again.
         """
         from .algebra.optree import TreeNode  # local: avoid import cycle
 
         results: list = [None] * len(items)
         #: (result index, prepared context, task index), input order
         offload: "list[tuple[int, PipelineContext, int]]" = []
-        tasks: "list[tuple[Any, str]]" = []
+        tasks: "list[tuple[Hypergraph, list[float], str]]" = []
         task_of_key: dict = {}
         for index, query in enumerate(items):
             if isinstance(query, TreeNode):
                 continue
-            ctx, served = self._probe_for_process_batch(query, shared)
+            ctx, served = self._probe(query, shared)
             if served is not None:
                 results[index] = served
                 continue
             key = ctx.key_info.key if ctx.key_info is not None else None
             task = task_of_key.get(key) if key is not None else None
             if task is None:
-                assert ctx.info is not None
                 task = len(tasks)
-                tasks.append((query, ctx.info.name))
+                tasks.append(_problem(ctx))
                 if key is not None:
                     task_of_key[key] = task
             # the prepared context rides along so absorbing the
@@ -1172,120 +1168,91 @@ class Optimizer:
                 payloads = pool.map(
                     _process_worker_run, tasks, chunksize=chunksize
                 )
-                # leaders come in task order, so absorbing overlaps
+                # payloads arrive in task order, so absorbing overlaps
                 # with the workers still computing later tasks
-                absorbed = 0
+                received: "list[dict]" = []
                 for index, ctx, task in offload:
-                    if task == absorbed:
-                        payload = next(payloads)
-                        absorbed += 1
-                        results[index] = self._absorb_recipe(
-                            ctx, payload["recipe"], payload["stats"]
-                        )
-                    else:
-                        # a follower: no recipe of its own, so a miss
-                        # (its leader's entry evicted inside the batch)
-                        # computes locally, as a serial run would
-                        results[index] = self._absorb_recipe(ctx, None)
+                    while len(received) <= task:
+                        received.append(next(payloads))
+                    payload = received[task]
+                    # the enumeration ran once: its statistics go to
+                    # the first result absorbed from it
+                    results[index] = self._absorb_recipe(
+                        ctx, payload["recipe"], payload.pop("stats", None)
+                    )
         for index, query in enumerate(items):
             if isinstance(query, TreeNode):
                 results[index] = self._run_pipeline(query, None, None, shared)
         return results
 
-    def _probe_for_process_batch(
-        self, query: Any, cache: Optional[PlanCache]
-    ) -> "tuple[PipelineContext, Optional[OptimizationResult]]":
-        """Prepare ``query`` and serve it from ``cache`` if present.
-
-        Runs normalize + fingerprint once, then a side-effect-free
-        :meth:`~repro.cache.plan_cache.PlanCache.peek`; only a
-        confirmed fresh entry runs the real (counted) lookup + replay,
-        so misses stay uncounted here and are counted exactly once
-        later, when the worker payload is absorbed — the counter
-        evolution matches a serial run.  Returns ``(ctx, result)``:
-        ``result`` is ``None`` (meaning: ship it to a worker) for
-        misses, stale entries, uncacheable queries, and replay
-        failures, and the prepared ``ctx`` is reused by
-        :meth:`_absorb_recipe` so no query is normalized or
-        canonicalized twice.
-        """
+    def _prepare(
+        self,
+        query: Any,
+        cache: Optional[PlanCache],
+        cardinalities: Optional[Sequence[float]] = None,
+        builder: Optional[PlanBuilder] = None,
+    ) -> PipelineContext:
+        """A fresh context for ``query``, normalized and fingerprinted."""
         stages = self.config.pipeline
         ctx = PipelineContext(
             config=self.config,
             query=query,
-            cardinalities=None,
-            builder_arg=None,
+            cardinalities=cardinalities,
+            builder_arg=builder,
             cache=cache,
         )
         stages.normalize(ctx)
         stages.fingerprint(ctx)
-        return ctx, self._serve_if_fresh(ctx)
+        return ctx
 
-    def _serve_if_fresh(
-        self, ctx: PipelineContext
-    ) -> Optional[OptimizationResult]:
-        """Serve a prepared context from its cache if the entry is fresh.
+    def _probe(
+        self, query: Any, cache: Optional[PlanCache]
+    ) -> "tuple[PipelineContext, Optional[OptimizationResult]]":
+        """Prepare ``query``; serve it from ``cache`` if fresh there.
 
-        A side-effect-free peek first, so a miss stays uncounted; only
-        a fresh entry runs the counted lookup and replay.  ``None``
-        means the caller must compute (miss, stale entry, uncacheable
-        query or replay failure).  The serving daemon calls this again
-        for a request that waited on an in-flight duplicate: it then
-        hits the entry the duplicate's result was stored under.
+        A side-effect-free ``peek`` first, so a miss shipped to the pool
+        is counted once, by :meth:`_absorb_recipe`.  ``result`` is
+        ``None`` when the caller must compute (miss, stale entry,
+        uncacheable query, replay failure).
         """
-        cache = ctx.cache
+        stages = self.config.pipeline
+        ctx = self._prepare(query, cache)
         if cache is None or ctx.key_info is None:
-            return None
+            return ctx, None
         _entry, status = cache.peek(ctx.key_info.key)
         if status != "hit":
-            return None
-        stages = self.config.pipeline
+            return ctx, None
         stages.cache.lookup(ctx)
         if not ctx.cache_hit:
-            return None
-        return stages.finalize(ctx)
+            return ctx, None
+        return ctx, stages.finalize(ctx)
 
     def _absorb_recipe(
         self,
         ctx: PipelineContext,
-        recipe: Optional[Any],
+        recipe: Optional[PlanRecipe],
         worker_stats: Optional[dict] = None,
     ) -> OptimizationResult:
-        """Turn one computed recipe into a parent-side result.
+        """Serve a prepared miss from the recipe of its key's problem.
 
-        ``ctx`` is the already-prepared context from
-        :meth:`_probe_for_process_batch` (normalize + fingerprint done,
-        peek said miss).  The counted cache lookup happens here — it
-        may meanwhile hit an entry an earlier absorb stored, so a batch
-        of isomorphic queries stores exactly one shared-cache entry
-        (the first absorbed miss) and the rest hit it — the same cache
-        evolution a serial thread-backend run produces.  Otherwise
-        dispatch is replaced by replaying the worker's identity-space
-        ``recipe`` (nested tuples over this query's own node indices);
-        with no recipe (a batch follower, or a worker that found no
-        plan) the miss dispatches locally.
+        Every executor's one way to fill the cache: the counted lookup
+        (it may hit an entry stored meanwhile), else the recipe — from
+        this query's :func:`_compute_recipe` or a same-key leader's —
+        is replayed like a hit and stored.  ``None`` means no plan.
         """
         stages = self.config.pipeline
-        if ctx.cache_event != "replay_failed":
-            # A replay failure during the probe already ran the counted
-            # lookup (and reclassified it); probing again would count a
-            # second miss and mask the event.
+        if ctx.cache_event is None:
+            # unless already made (an in-process miss, a replay failure
+            # in the probe): a second would count a second miss
             stages.cache.lookup(ctx)
-        if not ctx.cache_hit:
-            assert ctx.graph is not None
-            plan: Optional[Plan] = None
-            if recipe is not None:
-                identity = tuple(range(ctx.graph.n_nodes))
-                try:
-                    plan = replay_recipe(
-                        recipe, identity, ctx.graph, ctx.builder
-                    )
-                except (ValueError, LookupError, TypeError):
-                    # Defensive: a worker recipe that does not replay
-                    # on the parent's graph (should not happen — same
-                    # bytes) is computed locally rather than failing.
-                    pass
-            ctx.plan = plan if plan is not None else stages.dispatch(ctx)
+        if not ctx.cache_hit and recipe is not None:
+            assert ctx.graph is not None and ctx.builder is not None
+            inverse: Sequence[int] = (
+                ctx.key_info.inverse if ctx.key_info is not None
+                else range(ctx.graph.n_nodes)
+            )
+            ctx.recipe = recipe
+            ctx.plan = replay_recipe(recipe, inverse, ctx.graph, ctx.builder)
             stages.cache.store(ctx)
         if worker_stats:
             ctx.stats.extra["process_worker"] = worker_stats
@@ -1301,20 +1268,62 @@ class Optimizer:
         cache: Optional[PlanCache],
     ) -> OptimizationResult:
         stages = self.config.pipeline
-        ctx = PipelineContext(
-            config=self.config,
-            query=query,
-            cardinalities=cardinalities,
-            builder_arg=builder,
-            cache=cache,
-        )
-        stages.normalize(ctx)
-        stages.fingerprint(ctx)
+        ctx = self._prepare(query, cache, cardinalities, builder)
         stages.cache.lookup(ctx)
-        if not ctx.cache_hit:
+        if ctx.cache_hit:
+            return stages.finalize(ctx)
+        if ctx.key_info is None:
+            # unkeyed (no cache, operator tree, custom builder): a
+            # relabel would cost more than it serves, nothing is stored
             ctx.plan = stages.dispatch(ctx)
-            stages.cache.store(ctx)
-        return stages.finalize(ctx)
+            return stages.finalize(ctx)
+        return self._absorb_recipe(
+            ctx, _compute_recipe(self.config, _problem(ctx), ctx.stats)
+        )
+
+
+# -- the one compute function ------------------------------------------------
+
+
+def _problem(ctx: PipelineContext) -> "tuple[Hypergraph, list[float], str]":
+    """``(graph, cardinalities, algorithm)`` a prepared miss enumerates:
+    the query relabeled by its key's canonical permutation (identity
+    when unkeyed), and the resolved registration.  The pool's task."""
+    assert ctx.graph is not None and ctx.info is not None
+    assert ctx.resolved_cardinalities is not None
+    permutation: Sequence[int] = (
+        ctx.key_info.permutation if ctx.key_info is not None
+        else range(ctx.graph.n_nodes)
+    )
+    graph, cardinalities = canonical_problem(
+        ctx.graph, ctx.resolved_cardinalities, permutation
+    )
+    return graph, cardinalities, ctx.info.name
+
+
+def _compute_recipe(
+    config: OptimizerConfig,
+    problem: "tuple[Hypergraph, list[float], str]",
+    stats: SearchStats,
+) -> Optional[PlanRecipe]:
+    """Enumerate a :func:`_problem` through the dispatch stage.
+
+    The one compute function of in-process misses and pool workers: it
+    runs the resolved registration as given (a worker re-resolving
+    could store another solver's plan under the parent's key) and
+    returns the identity recipe, for a canonical problem the canonical
+    recipe.  Counters land in ``stats``."""
+    graph, cardinalities, algorithm = problem
+    ctx = PipelineContext(
+        config, graph, cardinalities, None, None, kind="hypergraph",
+        graph=graph, resolved_cardinalities=cardinalities, stats=stats,
+        builder=JoinPlanBuilder(
+            graph, cardinalities, config.cost_model, stats
+        ),
+        info=get_algorithm(algorithm),
+    )
+    plan = config.pipeline.dispatch(ctx)
+    return None if plan is None else plan_recipe(plan, range(graph.n_nodes))
 
 
 # -- process-pool worker side ------------------------------------------------
@@ -1334,7 +1343,7 @@ def _process_pool(
 
     ``optimize_many(executor="process")`` builds one per batch and the
     serving daemon one for its lifetime (and again after a worker
-    crash); both ship ``(query, algorithm)`` tasks to
+    crash); both ship :func:`_problem` tasks to
     :func:`_process_worker_run`.  The config is pickled here, in the
     parent, so an unpicklable one fails once with a clear error rather
     than in every worker.
@@ -1358,26 +1367,16 @@ def _process_pool(
 
 
 def _close_inherited_inet_sockets() -> None:
-    """Drop the parent's TCP file descriptors from this worker.
+    """Drop the TCP fds a forked worker inherited from its parent.
 
-    Under the ``fork`` start method a worker inherits every open fd of
-    its parent — in the serving daemon that includes the *listening*
-    socket and any accepted client connections alive at fork time.
-    Workers never serve those fds, but holding them has real
-    consequences: the kernel keeps accepting connections on the
-    daemon's port after the parent closed the listener (shutdown looks
-    incomplete to clients), and a client waiting for EOF never sees
-    the FIN until the worker exits.  Multiprocessing's own control
-    channels are pipes and unix-domain sockets, so closing only the
-    inet families is always safe; under ``spawn``/``forkserver``
-    nothing is inherited, and outside a pool worker (a test calling
-    the initializer in-process) this is a no-op.
+    In the daemon they include the listening socket, which would keep
+    the port accepting connections after shutdown closed it, and client
+    connections, whose EOF would wait for the worker to exit.
+    Multiprocessing's own channels are pipes and unix-domain sockets,
+    so closing only the inet families is safe.
     """
-    import multiprocessing
     import socket
 
-    if multiprocessing.parent_process() is None:
-        return
     try:
         fd_names = os.listdir("/proc/self/fd")
     except OSError:  # pragma: no cover - non-procfs platform
@@ -1393,54 +1392,44 @@ def _close_inherited_inet_sockets() -> None:
             sock.detach()  # release ownership without closing
 
 
+def _exit_with_parent(parent: Any) -> None:
+    """End this worker once its parent is gone, even SIGKILLed."""
+    parent.join()
+    os._exit(1)
+
+
 def _process_worker_init(config_blob: bytes, registrations: list) -> None:
     """Initializer run once in each pool worker process.
 
-    Drops inherited inet sockets, then restores custom algorithm
-    registrations *before* unpickling the config (whose validation
-    resolves algorithm names).  The config is all a worker keeps: it
-    holds no cache, so it never reads or writes ``cache_path`` and its
-    plans cannot depend on cache history.
+    A forked worker drops the daemon's inet sockets and its asyncio
+    signal handling (whose SIGTERM handler only wrote to the parent's
+    wakeup fd), and exits when its parent dies.  Custom registrations
+    are restored *before* the config is unpickled (its validation
+    resolves algorithm names).  The config is all a worker keeps: no
+    cache, so its plans cannot depend on cache history.
     """
+    import multiprocessing
     import pickle
+    import signal
 
-    _close_inherited_inet_sockets()
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        _close_inherited_inet_sockets()
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.set_wakeup_fd(-1)
+        threading.Thread(
+            target=_exit_with_parent, args=(parent,), daemon=True,
+            name="exit-with-parent",
+        ).start()
     restore_registrations(registrations)
     _WORKER_STATE["config"] = pickle.loads(config_blob)
 
 
-def _process_worker_run(task: "tuple[Any, str]") -> dict:
-    """``compute(query) -> recipe`` for one ``(query, algorithm)`` task.
-
-    ``algorithm`` is the registration the parent resolved, and
-    therefore the one named in the cache key the parent stores the
-    result under.  The worker never resolves ``"auto"`` itself: a
-    custom registration that cannot be pickled is missing in workers,
-    so a worker-side resolution could store another solver's plan
-    under the parent's key.  The payload is *not* the plan (a worker's
-    Plan holds its own graph objects, useless to the parent) but the
-    join tree as an identity-space recipe — nested tuples over the
-    query's own node indices, carrying each join's cardinality and
-    cost — plus the worker's search statistics.  The parent replays
-    the recipe onto the requesting query; the floats are the ones the parent's own builder
-    would compute, since the worker optimized the same bytes under the
-    same config.
-    """
-    query, algorithm = task
-    config: OptimizerConfig = _WORKER_STATE["config"]
-    stages = config.pipeline
-    ctx = PipelineContext(
-        config=config,
-        query=query,
-        cardinalities=None,
-        builder_arg=None,
-        cache=None,
-    )
-    stages.normalize(ctx)
-    ctx.info = get_algorithm(algorithm)
-    plan = stages.dispatch(ctx)
-    stats = ctx.stats.as_dict()
-    if plan is None or ctx.graph is None:
-        return {"recipe": None, "stats": stats}
-    identity = tuple(range(ctx.graph.n_nodes))
-    return {"recipe": plan_recipe(plan, identity), "stats": stats}
+def _process_worker_run(
+    problem: "tuple[Hypergraph, list[float], str]",
+) -> dict:
+    """One pool task: the problem's recipe plus the search statistics."""
+    stats = SearchStats()
+    recipe = _compute_recipe(_WORKER_STATE["config"], problem, stats)
+    return {"recipe": recipe, "stats": stats.as_dict()}

@@ -10,8 +10,8 @@ One :class:`PlanServer` owns
   the whole point of the daemon: ``optimize_many(executor="process")``
   pays pool spawn per batch, a resident pool pays it once.  Its
   workers are the batch backend's stateless ones
-  (:func:`repro.optimizer._process_pool`): ``compute((query,
-  algorithm)) -> recipe``, no cache, nothing to keep warm,
+  (:func:`repro.optimizer._process_pool`): ``compute(problem) ->
+  recipe``, no cache, nothing to keep warm,
 * an asyncio TCP front end on localhost speaking the length-prefixed
   JSON protocol of :mod:`repro.serving.protocol`.
 
@@ -20,13 +20,12 @@ hits are replayed in the event loop without ever taking an admission
 slot, so a hot working set cannot queue behind pool-bound misses.  A
 miss whose cache key is already being computed (a concurrent
 duplicate) waits for that computation instead of shipping its own
-(*coalescing*, one future per in-flight key) and then hits the entry
-it stored.  Every other miss takes admission control (bounded
-in-flight + bounded queue, explicit ``overloaded`` rejection) and
-ships the query plus the registration the parent resolved to a
-worker.  The worker's identity-space recipe is absorbed into the
-shared cache by the parent, exactly like the batch backend, so the
-cache evolves deterministically.
+(*coalescing*, one future per in-flight key) and then absorbs the
+recipe it resolves with.  Every other miss takes admission control
+(bounded in-flight + bounded queue, explicit ``overloaded``
+rejection) and ships its canonical problem to a worker, whose recipe
+the parent absorbs exactly like the batch backend and an in-process
+miss do, so the served tree depends on the query alone.
 
 Protocol v2 — pipelining: a request carrying an ``id`` is dispatched
 concurrently (one asyncio task per request, bounded by
@@ -49,6 +48,7 @@ checks ``async`` methods and ``async with`` blocks too.
 from __future__ import annotations
 
 import asyncio
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -61,6 +61,7 @@ from ..optimizer import (
     Optimizer,
     OptimizerConfig,
     PipelineContext,
+    _problem,
     _process_pool,
     _process_worker_run,
 )
@@ -71,7 +72,6 @@ from .protocol import (
     read_frame,
     wire_to_spec,
 )
-from .worker import serving_worker_kill
 
 #: protocol revision announced by the ``hello`` op (2 = per-request
 #: ids + pipelining; id-less v1 requests still work, serialized)
@@ -207,8 +207,8 @@ class PlanServer:
         self._closing = False
         self._active = 0
         self._waiting = 0
-        #: one future per cache key a pool task is computing; a
-        #: concurrent duplicate miss waits on it instead of shipping
+        #: one future per cache key a pool task is computing, resolved
+        #: with its recipe; a duplicate miss waits on it, not shipping
         self._in_flight: "dict[Any, asyncio.Future]" = {}
         self._counters: "dict[str, int]" = {
             "requests": 0,
@@ -322,19 +322,17 @@ class PlanServer:
         lets the store reconcile dropped entries.
 
         The sync is a real disk transaction (plus inline TTL/budget
-        compaction), so it runs in a worker thread: the lock still
-        serializes saves against each other, but the event loop keeps
-        handling requests meanwhile (the store is internally locked and
-        opened with ``check_same_thread=False``).
+        compaction), so it runs in a worker thread, and without the
+        server lock, which every request takes: the store serializes
+        syncs on its own lock (``check_same_thread=False``).
         """
         store = self._store
         if store is None:
             return None
         loop = asyncio.get_running_loop()
-        async with self._lock:
-            return await loop.run_in_executor(
-                None, lambda: store.sync_from(self.cache, force)
-            )
+        return await loop.run_in_executor(
+            None, store.sync_from, self.cache, force
+        )
 
     # -- connection handling ---------------------------------------------
 
@@ -532,14 +530,15 @@ class PlanServer:
             await self._release()
 
     async def _op_debug_kill_worker(self) -> "dict[str, Any]":
-        """Abruptly kill one pool worker (failure-path tests)."""
+        """Abruptly kill one pool worker (failure-path tests):
+        ``os._exit`` skips all cleanup, as a crash would."""
         loop = asyncio.get_running_loop()
         async with self._lock:
             pool = self._pool
         if pool is None:
             return _error("shutting-down", "no pool")
         try:
-            await loop.run_in_executor(pool, serving_worker_kill)
+            await loop.run_in_executor(pool, os._exit, 1)
         except BrokenProcessPool:
             pass
         return {"ok": True}
@@ -568,9 +567,7 @@ class PlanServer:
             # misses — under pipelining a hot working set would
             # otherwise wait on slots that enumeration is holding
             optimizer = await self._optimizer_for(namespace)
-            ctx, served = optimizer._probe_for_process_batch(
-                spec, self.cache
-            )
+            ctx, served = optimizer._probe(spec, self.cache)
         except ValueError as exc:
             # planning-level rejection (e.g. disconnected graph under
             # the "raise" policy): the client's fault, not the server's
@@ -595,14 +592,13 @@ class PlanServer:
                     # a waiting duplicate never hangs
                     if key is not None:
                         async with self._lock:
-                            self._in_flight.pop(key).set_result(None)
-            # a duplicate of an in-flight miss: serve the leader's
-            # entry like any hit; if it is gone (evicted, epoch bumped,
-            # leader failed) compute anew
-            await asyncio.shield(leader)
-            served = optimizer._serve_if_fresh(ctx)
-            if served is None:
+                            self._in_flight.pop(key).set_result(ctx.recipe)
+            # a duplicate: absorb the leader's recipe (a hit, or a
+            # replay if the entry is gone); compute only without one
+            recipe = await asyncio.shield(leader)
+            if recipe is None:
                 return await self._compute(ctx, optimizer)
+            served = optimizer._absorb_recipe(ctx, recipe)
         async with self._lock:
             self._counters["served_parent"] += 1
         return self._result_response(served, via="parent")
@@ -637,14 +633,12 @@ class PlanServer:
     ) -> "Optional[dict[str, Any]]":
         """Ship one prepared miss to the pool; rebuild-and-retry once.
 
-        The task is the query plus the registration the parent
-        resolved, so the worker computes under the key the parent
-        stores.  A ``BrokenProcessPool`` (worker killed mid-request)
-        rebuilds the pool — once, however many requests saw it break —
-        and retries exactly once.
+        The task is :func:`repro.optimizer._problem`, which names the
+        registration the parent resolved.  A ``BrokenProcessPool``
+        (worker killed mid-request) rebuilds the pool — once, however
+        many requests saw it break — and retries exactly once.
         """
-        assert ctx.info is not None
-        task = (ctx.query, ctx.info.name)
+        task = _problem(ctx)
         loop = asyncio.get_running_loop()
         for _attempt in range(2):
             async with self._lock:

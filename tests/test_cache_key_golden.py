@@ -225,9 +225,10 @@ GOLDEN = {
 
 
 def test_key_version_unchanged():
-    # 2: recipes carry per-join floats; digests and permutations are
-    # unchanged, so every pinned value below still holds
-    assert KEY_VERSION == 2
+    # 2: recipes carry per-join floats; 3: recipes are enumerated on
+    # the canonical problem.  Digests and permutations are unchanged by
+    # both, so every pinned value below still holds
+    assert KEY_VERSION == 3
 
 
 def test_every_case_is_pinned():

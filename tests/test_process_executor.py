@@ -154,7 +154,10 @@ class TestEquivalence:
 class TestWorkerInternals:
     def test_worker_payload_is_picklable(self):
         _process_worker_init(pickle.dumps(OptimizerConfig(cache="on")), [])
-        payload = _process_worker_run((generators.cycle(5, seed=3), "dphyp"))
+        query = generators.cycle(5, seed=3)
+        payload = _process_worker_run(
+            (query.graph, query.cardinalities, "dphyp")
+        )
         clone = pickle.loads(pickle.dumps(payload))
         assert clone["recipe"] == payload["recipe"]
         # a stateless worker: it enumerated, and holds no cache
@@ -172,13 +175,14 @@ class TestWorkerInternals:
         for configured in ("dphyp", "greedy"):
             config = OptimizerConfig(cache="on", algorithm=configured)
             for shipped in ("dphyp", "greedy"):
+                problem = (query.graph, query.cardinalities, shipped)
                 if pool == "batch":
                     _process_worker_init(pickle.dumps(config), [])
-                    payload = _process_worker_run((query, shipped))
+                    payload = _process_worker_run(problem)
                 else:
                     with PlanServer(config)._make_pool() as executor:
                         payload = executor.submit(
-                            _process_worker_run, (query, shipped)
+                            _process_worker_run, problem
                         ).result()
                 runs[configured, shipped] = (
                     payload["recipe"], payload["stats"]["ccp_emitted"]
@@ -356,10 +360,13 @@ class TestTaskGrouping:
         assert [len(tasks) for tasks in shipped_tasks] == [1]
         assert_same_results(thread_results, process_results)
 
-    def test_evicted_follower_computes_locally(self, shipped_tasks):
+    def test_evicted_follower_replays_its_groups_recipe(
+        self, shipped_tasks
+    ):
         """``cache_size=1``: the follower's entry is evicted by the
-        next leader before it is absorbed, so it misses and enumerates
-        in the parent on its own graph, exactly like a serial run."""
+        next leader before it is absorbed, so it misses, as in a serial
+        run, and is served by replaying its group's canonical recipe:
+        no enumeration in the parent."""
         first = generators.chain(6, seed=2)
         second = generators.cycle(5, seed=7)
         batch = [first, second, relabeled(first, seed=5)]
@@ -374,8 +381,10 @@ class TestTaskGrouping:
         assert [len(tasks) for tasks in shipped_tasks] == [2]
         assert_same_results(thread_results, process_results)
         assert events_of(process_results) == ["miss", "miss", "miss"]
-        follower = process_results[2].stats.extra
-        assert "process_worker" not in follower  # not a worker recipe
+        follower = process_results[2].stats
+        assert follower.ccp_emitted == 0  # replayed, not enumerated
+        # the group's one enumeration is reported once, on its first
+        assert "process_worker" not in follower.extra
         assert "process_worker" in process_results[0].stats.extra
         assert process.plan_cache.evictions == 2
 

@@ -1,23 +1,30 @@
-"""A plan's cost is a pure function of (query, statistics, config).
+"""A plan is a pure function of (query, statistics, config).
 
 Property-based (hypothesis): for generated queries — simple graphs and
 hypergraphs, each with an isomorphic relabeling in the same batch — the
-cost ``algorithm="auto"`` returns must be identical, bit for bit,
-whichever way the plan was produced:
+plan ``algorithm="auto"`` returns must not depend on how it was
+produced.  With a plan cache attached, every miss enumerates the
+query's canonical problem and is served by replaying the canonical
+recipe, exactly like a hit, so the oriented join tree (leaves named by
+relation) and its cost are identical, bit for bit, across:
 
 * serial, thread-pool and ``executor="process"`` ``optimize_many``;
-* a cold cache and the warm cache that follows it;
-* before and after a :class:`~repro.cache.store.PlanStore` restart;
-* the plan-serving daemon (pipelined :meth:`~repro.serving.client.
-  PlanClient.optimize_many`) and a two-shard
-  :class:`~repro.serving.shard.ShardRouter` fleet.
+* a cold cache (each query alone in a fresh optimizer), the warm cache
+  that follows a batch, and the batch in reverse order, where the other
+  labeling creates each entry;
+* before and after a :class:`~repro.cache.store.PlanStore` restart.
 
-The daemons live for the whole module, so later examples also run
-against caches that earlier examples filled.
+The plan-serving daemon (pipelined :meth:`~repro.serving.client.
+PlanClient.optimize_many`) and a two-shard
+:class:`~repro.serving.shard.ShardRouter` fleet answer with a cost but
+no tree, so there the wire costs are compared, and so is the canonical
+recipe each daemon stored against the one an in-process optimizer
+stores for the same key.  The daemons live for the whole module, so
+later examples also run against caches that earlier examples filled.
 
-Only costs are compared: when the root cardinality absorbs the
-intermediate costs, different join trees can tie bit for bit, and the
-tree a cache hit serves is the one its first requester computed.
+``cache="off"`` is compared on cost only: an uncached run enumerates
+the caller's own labeling, and where equal-cost trees tie, the one the
+enumerator keeps follows that labeling's node numbering.
 """
 
 import os
@@ -71,6 +78,41 @@ def costs(results):
     return [result.cost for result in results]
 
 
+def trees(results):
+    """Oriented join trees, leaves named by relation."""
+    return [result.plan.render(result.relation_names) for result in results]
+
+
+def plans(results):
+    return costs(results), trees(results)
+
+
+def canonical_recipes(batch):
+    """Cache key -> recipe, each query computed alone on a cold cache."""
+    recipes = {}
+    for query in batch:
+        optimizer = Optimizer(OptimizerConfig(cache="on"))
+        optimizer.optimize_many([query])
+        ((key, entry),) = optimizer.plan_cache.snapshot_entries()
+        # whichever labeling computes it, a key stores one recipe
+        assert recipes.setdefault(key, entry.recipe) == entry.recipe
+    return recipes
+
+
+def stored_recipes(servers, keys):
+    """The recipes ``servers`` cached for ``keys``.
+
+    Shards route by the query as sent, so two labelings of one query
+    may each fill their shard's entry: they must store the same recipe.
+    """
+    recipes = {}
+    for server in servers:
+        for key, entry in server.server.cache.snapshot_entries():
+            if key in keys:
+                assert recipes.setdefault(key, entry.recipe) == entry.recipe
+    return recipes
+
+
 def specs(batch):
     return [
         QuerySpec.from_hypergraph(query.graph, query.cardinalities)
@@ -93,59 +135,71 @@ def daemon():
 def fleet():
     with BackgroundServer(OptimizerConfig(cache="on")) as first, \
             BackgroundServer(OptimizerConfig(cache="on")) as second:
-        yield [first.address, second.address]
+        yield [first, second]
 
 
 @settings(**COMMON)
 @given(batch=batches())
-def test_cost_is_identical_across_executors_cache_and_restart(batch):
+def test_plan_is_identical_across_executors_cache_and_restart(batch):
     serial = Optimizer(OptimizerConfig(cache="on"))
-    expected = costs(serial.optimize_many(batch))
+    expected = plans(serial.optimize_many(batch))
     # a relabeling costs what its original costs
-    assert expected[0::2] == expected[1::2]
+    assert expected[0][0::2] == expected[0][1::2]
 
     warm = serial.optimize_many(batch)
     assert all(
         r.stats.extra["plan_cache"]["event"] == "hit" for r in warm
     )
-    assert costs(warm) == expected
+    assert plans(warm) == expected
+
+    cold = [
+        Optimizer(OptimizerConfig(cache="on")).optimize_many([query])[0]
+        for query in batch
+    ]
+    assert plans(cold) == expected
+
+    reverse = Optimizer(OptimizerConfig(cache="on"))
+    assert plans(reverse.optimize_many(batch[::-1])[::-1]) == expected
 
     thread = Optimizer(OptimizerConfig(cache="on"))
-    assert costs(thread.optimize_many(batch, parallel=2)) == expected
+    assert plans(thread.optimize_many(batch, parallel=2)) == expected
 
     process = Optimizer(OptimizerConfig(cache="on"))
-    assert costs(
+    assert plans(
         process.optimize_many(batch, executor="process", parallel=2)
     ) == expected
 
     uncached = Optimizer(OptimizerConfig(cache="off"))
-    assert costs(uncached.optimize_many(batch)) == expected
+    assert costs(uncached.optimize_many(batch)) == expected[0]
 
     with tempfile.TemporaryDirectory() as directory:
         config = OptimizerConfig(
             cache="on", cache_path=os.path.join(directory, "plans.sqlite")
         )
-        assert costs(Optimizer(config).optimize_many(batch)) == expected
+        assert plans(Optimizer(config).optimize_many(batch)) == expected
         restarted = Optimizer(config)
         served = restarted.optimize_many(batch)
         assert all(
             r.stats.extra["plan_cache"]["event"] == "hit" for r in served
         )
-        assert costs(served) == expected
+        assert plans(served) == expected
 
 
 @settings(**COMMON)
 @given(batch=batches())
-def test_cost_is_identical_through_the_daemon_and_shards(
+def test_plan_is_identical_through_the_daemon_and_shards(
     batch, daemon, fleet
 ):
     expected = costs(Optimizer(OptimizerConfig(cache="on")).optimize_many(
         batch
     ))
+    recipes = canonical_recipes(batch)
     wire = specs(batch)
     with PlanClient(daemon.address) as client:
         assert served_costs(client.optimize_many(wire)) == expected
         assert served_costs(client.optimize_many(wire)) == expected
-    with ShardRouter(fleet) as router:
+    assert stored_recipes([daemon], recipes) == recipes
+    with ShardRouter([shard.address for shard in fleet]) as router:
         assert served_costs(router.optimize_many(wire)) == expected
         assert served_costs(router.optimize_many(wire)) == expected
+    assert stored_recipes(fleet, recipes) == recipes

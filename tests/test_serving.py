@@ -16,7 +16,14 @@ import threading
 import pytest
 
 from repro.cache import PlanStore
-from repro.optimizer import Optimizer, OptimizerConfig, QuerySpec
+from repro.core.stats import SearchStats
+from repro.optimizer import (
+    Optimizer,
+    OptimizerConfig,
+    QuerySpec,
+    _compute_recipe,
+    _problem,
+)
 from repro.registry import (
     get_algorithm,
     register_algorithm,
@@ -247,6 +254,12 @@ class TestCoalescingEdges:
     def request(spec):
         return {"op": "optimize", "query": spec_to_wire(spec)}
 
+    @staticmethod
+    def payload(server, ctx):
+        """What a pool worker returns for ``ctx``."""
+        recipe = _compute_recipe(server.config, _problem(ctx), SearchStats())
+        return {"recipe": recipe, "stats": {}}
+
     def test_follower_of_a_failed_leader_ships_its_own_task(self):
         spec = chain_spec(tag=21.0)
 
@@ -257,11 +270,11 @@ class TestCoalescingEdges:
             async def pool(ctx):
                 shipped.append(ctx)
                 await release.wait()
-                # the first task dies for good; the retry is computed
-                # by the parent (no recipe), as a real pool would
-                return None if len(shipped) == 1 else {
-                    "recipe": None, "stats": {},
-                }
+                # the first task dies for good, leaving its follower
+                # no recipe to replay
+                if len(shipped) == 1:
+                    return None
+                return self.payload(server, ctx)
 
             server._run_in_pool = pool
             leader = asyncio.ensure_future(
@@ -297,7 +310,7 @@ class TestCoalescingEdges:
                 await release.wait()
                 if len(shipped) == 1:
                     raise RuntimeError("worker bug")
-                return {"recipe": None, "stats": {}}
+                return self.payload(server, ctx)
 
             server._run_in_pool = pool
             leader = asyncio.ensure_future(
@@ -316,7 +329,9 @@ class TestCoalescingEdges:
         assert follower["ok"] and follower["cost"] == oracle_cost(spec)
         assert in_flight == {}
 
-    def test_follower_whose_entry_was_evicted_ships_its_own_task(self):
+    def test_follower_whose_entry_was_evicted_replays_its_leaders_recipe(
+        self,
+    ):
         a, b = chain_spec(tag=23.0), chain_spec(tag=24.0)
 
         async def scenario(server):
@@ -326,7 +341,7 @@ class TestCoalescingEdges:
             async def pool(ctx):
                 shipped.append(ctx.query)
                 await release.wait()
-                return {"recipe": None, "stats": {}}
+                return self.payload(server, ctx)
 
             server._run_in_pool = pool
             tasks = [
@@ -341,9 +356,13 @@ class TestCoalescingEdges:
             return answers, shipped, dict(server._counters)
 
         answers, shipped, counters = self.run(scenario, cache_size=1)
-        assert [x["via"] for x in answers] == ["pool", "pool", "pool"]
-        assert shipped == [a, b, a]
+        # the follower of ``a`` finds its entry gone and replays the
+        # recipe its leader computed: one pool task per unique key
+        assert [x["via"] for x in answers] == ["pool", "pool", "parent"]
+        assert shipped == [a, b]
         assert counters["coalesced"] == 1
+        assert counters["served_pool"] == 2
+        assert answers[2]["cache_event"] == "miss"
         assert answers[2]["cost"] == oracle_cost(a)
 
 

@@ -13,12 +13,18 @@ enable these.
 
 from __future__ import annotations
 
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.optimizer import Optimizer, OptimizerConfig, QuerySpec
 from repro.serving import BackgroundServer, PlanClient, ServerError
 from repro.serving.protocol import (
@@ -300,3 +306,108 @@ class TestShutdownWithPendingWork:
                 with pytest.raises(ServerError) as err:
                     client.request({"op": "debug-kill-worker"})
                 assert err.value.code == "unknown-op"
+
+
+class TestSaves:
+    def test_a_save_does_not_stall_other_requests(self, tmp_path, monkeypatch):
+        """The store's disk transaction runs without the server lock,
+        which every request takes for its counter bump: a ping and a
+        hit on another connection complete while a save is blocked."""
+        entered, release = threading.Event(), threading.Event()
+        config = OptimizerConfig(
+            cache="on", cache_path=str(tmp_path / "plans.sqlite")
+        )
+        with BackgroundServer(config) as daemon:
+            store = daemon.server._store
+            sync = store.sync_from
+
+            def blocked_sync(cache, force=False):
+                entered.set()
+                release.wait(30)
+                return sync(cache, force)
+
+            monkeypatch.setattr(store, "sync_from", blocked_sync)
+            spec = chain_spec(tag=40.0)
+            saver = PlanClient(daemon.address)
+            saved = []
+            saving = threading.Thread(
+                target=lambda: saved.append(saver.request({"op": "save"}))
+            )
+            try:
+                assert saver.optimize(spec)["via"] == "pool"
+                saving.start()
+                assert entered.wait(10)
+                with PlanClient(daemon.address, timeout=5.0) as other:
+                    assert other.ping()
+                    assert other.optimize(spec)["cache_event"] == "hit"
+            finally:
+                release.set()
+                saving.join(30)
+                saver.close()
+            assert not saving.is_alive()
+            assert saved and saved[0]["ok"]
+
+
+def _children(pid: int) -> "list[int]":
+    """Live processes whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _parent_and_state(int(entry))[0] == pid:
+            found.append(int(entry))
+    return found
+
+
+def _parent_and_state(pid: int) -> "tuple[int, str]":
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return -1, "gone"
+    return int(fields[1]), fields[0]
+
+
+def _alive(pid: int) -> bool:
+    return _parent_and_state(pid)[1] not in ("gone", "Z")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads process parents from /proc"
+)
+class TestOrphanedWorkers:
+    def test_pool_worker_exits_when_the_daemon_is_killed(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.serving", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env=env, text=True,
+        )
+        workers: "list[int]" = []
+        try:
+            assert daemon.stdout is not None
+            line = daemon.stdout.readline()
+            match = re.search(r"listening on (.+):(\d+)", line)
+            assert match, line
+            with PlanClient((match[1], int(match[2]))) as client:
+                assert client.optimize(chain_spec(tag=50.0))["via"] == "pool"
+            workers = _children(daemon.pid)
+            assert workers
+            daemon.kill()
+            daemon.wait(10)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_alive, workers)):
+                time.sleep(0.05)
+            assert not any(map(_alive, workers))
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            daemon.kill()
+            daemon.wait(10)
+            if daemon.stdout is not None:
+                daemon.stdout.close()
