@@ -264,27 +264,6 @@ def _search(
     return best
 
 
-def index_order_encoding(
-    n_nodes: int,
-    edges: Sequence[tuple[NodeSet, NodeSet, NodeSet]],
-    edge_colors: Sequence[Any],
-) -> tuple[tuple, tuple]:
-    """Encoding of the graph under its own index order.
-
-    The non-canonical counterpart of :func:`canonical_form`: node
-    identity is the input index, but the encoding is still insensitive
-    to edge-list order and per-edge side order (one source of truth —
-    :func:`_encode` — shared with the canonical search).  Returns
-    ``(encoding, edge_token_table)``; used by the name-sensitive
-    fingerprint mode.
-    """
-    edge_ranks, table = _token_ranks(edge_colors)
-    encoding = _encode(
-        n_nodes, tuple(range(n_nodes)), [0] * n_nodes, edges, edge_ranks
-    )
-    return encoding, table
-
-
 def canonical_form(
     n_nodes: int,
     edges: Sequence[tuple[NodeSet, NodeSet, NodeSet]],

@@ -121,10 +121,11 @@ class Hyperedge:
 def payload_token(payload: Any) -> Optional[str]:
     """Stable string token identifying a hyperedge payload.
 
-    Used by the fingerprint layer: the enumeration core never looks
-    inside payloads, but operator-derived edges (Section 5) are *not*
-    interchangeable with plain join edges, so the payload's stable
-    rendering participates in structural identity.  ``None`` stays
+    Used by :func:`repro.cache.keys.structure_bucket`: the enumeration
+    core never looks inside payloads, but operator-derived edges
+    (Section 5) are *not* interchangeable with plain join edges, so the
+    payload's stable rendering participates in structural identity.
+    ``None`` stays
     ``None``; strings and the algebra's dataclass payloads
     (``EdgeInfo``, predicates, operators) all render deterministically.
     """
@@ -473,39 +474,6 @@ class Hypergraph:
             edge_colors=edge_colors,
             budget=DEFAULT_BUDGET if budget is None else budget,
         )
-
-    def canonical_fingerprint(self, include_names: bool = False) -> str:
-        """Order-insensitive structural hash of this hypergraph.
-
-        Stable under edge-list reordering and under swapping the two
-        sides of any hyperedge.  Structure means nodes, hyperedges, and
-        the operator payloads riding on them (via
-        :func:`payload_token`); selectivities and cardinalities are
-        *statistics*, handled separately by the plan-cache key layer.
-
-        With ``include_names=False`` (default) the hash is additionally
-        name- and node-order-independent: isomorphic shapes share one
-        fingerprint, which is what lets the plan cache serve a
-        relabeled repeat of a known query.  With ``include_names=True``
-        node identity (index and name) is part of the hash.
-        """
-        tokens = [payload_token(edge.payload) for edge in self.edges]
-        if include_names:
-            import hashlib
-
-            from .canonical import index_order_encoding
-
-            names = tuple(
-                self.name_of(node) for node in range(self.n_nodes)
-            )
-            encoding, token_table = index_order_encoding(
-                self.n_nodes,
-                [(e.left, e.right, e.flex) for e in self.edges],
-                tokens,
-            )
-            payload = repr((names, token_table, encoding))
-            return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return self.canonical_form(edge_colors=tokens).digest
 
     # -- rendering --------------------------------------------------------
 

@@ -12,7 +12,8 @@ so a garbage header cannot make the server allocate gigabytes.
 Queries travel as the **wire form** of a
 :class:`~repro.optimizer.QuerySpec` — relations as ``[name,
 cardinality]`` pairs plus join specs — produced by
-:func:`spec_to_wire` and rebuilt by :func:`wire_to_spec`.  The spec
+:func:`spec_to_wire` and rebuilt by :func:`wire_to_spec`; an answer is
+the summary :func:`result_to_wire` builds.  The spec
 form is the natural serialization boundary: it is exactly the
 declarative subset of queries that is cacheable, and
 ``QuerySpec.from_hypergraph`` lets clients ship hypergraphs too.
@@ -198,3 +199,20 @@ def wire_to_spec(payload: Any) -> Any:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed query payload: {exc}") from exc
+
+
+def result_to_wire(result: Any, via: str) -> "dict[str, Any]":
+    """Summarize an :class:`~repro.optimizer.OptimizationResult` for
+    the wire; ``via`` names who computed it (``parent``, ``pool`` or,
+    for a shard router's local answer, ``fallback``)."""
+    plannable = result.plan is not None
+    extra = result.stats.extra.get("plan_cache", {})
+    return {
+        "ok": True,
+        "via": via,
+        "algorithm": result.algorithm,
+        "plannable": plannable,
+        "cost": result.plan.cost if plannable else None,
+        "cardinality": result.plan.cardinality if plannable else None,
+        "cache_event": extra.get("event"),
+    }

@@ -57,7 +57,6 @@ from typing import Any, Optional
 from ..cache.plan_cache import PlanCache
 from ..cache.store import PlanStore
 from ..optimizer import (
-    OptimizationResult,
     Optimizer,
     OptimizerConfig,
     PipelineContext,
@@ -70,6 +69,7 @@ from .protocol import (
     ProtocolError,
     encode_frame,
     read_frame,
+    result_to_wire,
     wire_to_spec,
 )
 
@@ -601,7 +601,7 @@ class PlanServer:
             served = optimizer._absorb_recipe(ctx, recipe)
         async with self._lock:
             self._counters["served_parent"] += 1
-        return self._result_response(served, via="parent")
+        return result_to_wire(served, via="parent")
 
     async def _compute(
         self, ctx: PipelineContext, optimizer: Optimizer
@@ -626,7 +626,7 @@ class PlanServer:
             await self._release()
         async with self._lock:
             self._counters["served_pool"] += 1
-        return self._result_response(result, via="pool")
+        return result_to_wire(result, via="pool")
 
     async def _run_in_pool(
         self, ctx: PipelineContext
@@ -658,21 +658,6 @@ class PlanServer:
                 if rebuild:
                     pool.shutdown(wait=False)
         return None
-
-    def _result_response(
-        self, result: OptimizationResult, via: str
-    ) -> "dict[str, Any]":
-        plannable = result.plan is not None
-        extra = result.stats.extra.get("plan_cache", {})
-        return {
-            "ok": True,
-            "via": via,
-            "algorithm": result.algorithm,
-            "plannable": plannable,
-            "cost": result.plan.cost if plannable else None,
-            "cardinality": result.plan.cardinality if plannable else None,
-            "cache_event": extra.get("event"),
-        }
 
     # -- shared-state helpers ---------------------------------------------
 

@@ -1,22 +1,24 @@
-"""Fingerprint sharding: one client, M daemons, partitioned caches.
+"""Structure sharding: one client, M daemons, partitioned caches.
 
 Running several plan daemons behind naive round-robin *duplicates*
 cache populations — every daemon eventually holds every hot structure,
 so M daemons buy M× the memory for roughly 1× the distinct plans.
 :class:`ShardRouter` partitions instead: each query is routed by the
-**isomorphism-invariant structural fingerprint**
-(:meth:`~repro.core.hypergraph.Hypergraph.canonical_fingerprint`) of
-its hypergraph, so every structure has exactly one home shard and the
-union of the shard caches is the effective cache.  Routing by
-structure (not by full cache key) is deliberate: all isomorphic
-relabelings of a query share one fingerprint, hence one shard, hence
-one cached recipe — exactly the sharing the cache key layer was built
-for.
+:func:`~repro.cache.keys.structure_bucket` of its hypergraph — the
+digest every daemon's cache records per entry and reports in
+``stats.structures``.  The bucket is a multiset invariant (sorted
+degrees and sorted edge shapes), so every relabeling of a query gets
+the same value by construction, with no search and no budget; it costs
+microseconds.  Every structure therefore has exactly one home shard
+and the union of the shard caches is the effective cache.  Routing by
+structure (not by full cache key, which includes the statistics) is
+deliberate: one shape with different statistics stays on one shard.
+Two non-isomorphic shapes that share a bucket just share a shard.
 
 Placement is **rendezvous (highest-random-weight) hashing** over the
 endpoint labels: for each query, every endpoint gets a score
-``sha256(fingerprint | label)`` and the highest score wins.  Unlike
-``hash(fp) % M``, adding or removing one endpoint only moves the keys
+``sha256(bucket | label)`` and the highest score wins.  Unlike
+``hash(bucket) % M``, adding or removing one endpoint only moves the keys
 that scored highest on it (~1/M of the space), and scoring is over
 *all* configured endpoints — a dead shard does not reshuffle the
 others' populations.
@@ -38,24 +40,25 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Optional
 
+from ..cache.keys import structure_bucket
 from .client import DEFAULT_PIPELINE_DEPTH, PlanClient, ServerError
-from .protocol import ProtocolError, wire_to_spec
+from .protocol import ProtocolError, result_to_wire, wire_to_spec
 
 __all__ = ["ShardRouter", "ServerError"]
 
 
-def _score(fingerprint: str, label: str) -> int:
-    """Rendezvous weight of ``label`` for ``fingerprint`` (sha256 —
+def _score(bucket: str, label: str) -> int:
+    """Rendezvous weight of ``label`` for ``bucket`` (sha256 —
     the stable, sanctioned digest; builtin ``hash()`` is banned by the
     ``no-builtin-hash`` gate and randomized per process anyway)."""
     digest = hashlib.sha256(
-        f"{fingerprint}|{label}".encode("utf-8")
+        f"{bucket}|{label}".encode("utf-8")
     ).digest()
     return int.from_bytes(digest[:16], "big")
 
 
 class ShardRouter:
-    """Route queries across ``endpoints`` by structural fingerprint.
+    """Route queries across ``endpoints`` by structure bucket.
 
     Args:
         endpoints: ``(host, port)`` pairs of the plan daemons.
@@ -91,18 +94,14 @@ class ShardRouter:
 
     # -- routing ----------------------------------------------------------
 
-    def fingerprint(self, query: Any) -> str:
-        """Structural fingerprint that decides the query's home shard."""
-        spec = wire_to_spec(query) if isinstance(query, dict) else query
-        graph, _cards = spec.to_hypergraph()
-        return graph.canonical_fingerprint()
-
     def shard_for(self, query: Any) -> int:
         """Index of the endpoint this query lives on (dead or alive)."""
-        fingerprint = self.fingerprint(query)
+        spec = wire_to_spec(query) if isinstance(query, dict) else query
+        graph, _cards = spec.to_hypergraph()
+        bucket = structure_bucket(graph)
         return max(
             range(len(self.labels)),
-            key=lambda index: _score(fingerprint, self.labels[index]),
+            key=lambda index: _score(bucket, self.labels[index]),
         )
 
     # -- optimize ---------------------------------------------------------
@@ -202,19 +201,7 @@ class ShardRouter:
         spec = wire_to_spec(query) if isinstance(query, dict) else query
         result = self._fallback.optimize(spec)
         self.fallbacks += 1
-        plannable = result.plan is not None
-        extra = result.stats.extra.get("plan_cache", {})
-        return {
-            "ok": True,
-            "via": "fallback",
-            "algorithm": result.algorithm,
-            "plannable": plannable,
-            "cost": result.plan.cost if plannable else None,
-            "cardinality": (
-                result.plan.cardinality if plannable else None
-            ),
-            "cache_event": extra.get("event"),
-        }
+        return result_to_wire(result, via="fallback")
 
     # -- introspection / lifecycle ----------------------------------------
 

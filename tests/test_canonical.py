@@ -1,10 +1,12 @@
-"""Tests for the canonical-form layer (repro.core.canonical +
-Hypergraph.canonical_fingerprint / canonical_form)."""
+"""Tests for the structural digests: the canonical form
+(repro.core.canonical, Hypergraph.canonical_form) and the cache's
+search-free structure_bucket."""
 
 import random
 
 import pytest
 
+from repro.cache.keys import structure_bucket
 from repro.core import bitset
 from repro.core.canonical import CanonicalForm, canonical_form
 from repro.core.hypergraph import Hyperedge, Hypergraph, payload_token
@@ -38,6 +40,13 @@ def swapped_sides(graph: Hypergraph) -> Hypergraph:
     )
 
 
+def canonical_digest(graph: Hypergraph) -> str:
+    return graph.canonical_form().digest
+
+
+#: both isomorphism-invariant digests of a bare structure
+DIGESTS = {"canonical": canonical_digest, "bucket": structure_bucket}
+
 SHAPES = {
     "chain": generators.chain(7, seed=1),
     "cycle": generators.cycle(7, seed=2),
@@ -49,58 +58,55 @@ SHAPES = {
 
 class TestOrderInsensitivity:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("include_names", [False, True])
-    def test_edge_order_does_not_matter(self, shape, include_names):
+    @pytest.mark.parametrize("digest", sorted(DIGESTS))
+    def test_edge_order_does_not_matter(self, shape, digest):
         graph = SHAPES[shape].graph
         reordered = shuffled_edges(graph, seed=9)
-        assert graph.canonical_fingerprint(include_names) == \
-            reordered.canonical_fingerprint(include_names)
+        assert DIGESTS[digest](graph) == DIGESTS[digest](reordered)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("include_names", [False, True])
-    def test_side_swap_does_not_matter(self, shape, include_names):
+    @pytest.mark.parametrize("digest", sorted(DIGESTS))
+    def test_side_swap_does_not_matter(self, shape, digest):
         graph = SHAPES[shape].graph
-        assert graph.canonical_fingerprint(include_names) == \
-            swapped_sides(graph).canonical_fingerprint(include_names)
+        assert DIGESTS[digest](graph) == DIGESTS[digest](swapped_sides(graph))
 
 
 class TestIsomorphismSharing:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_relabeled_copy_shares_fingerprint(self, shape):
+    @pytest.mark.parametrize("digest", sorted(DIGESTS))
+    def test_relabeled_copy_shares_digest(self, shape, digest):
         query = SHAPES[shape]
         copy = relabeled(query, seed=17)
-        assert query.graph.canonical_fingerprint() == \
-            copy.graph.canonical_fingerprint()
+        assert DIGESTS[digest](query.graph) == DIGESTS[digest](copy.graph)
 
-    def test_names_do_not_affect_anonymous_mode(self):
+    @pytest.mark.parametrize("digest", sorted(DIGESTS))
+    def test_names_do_not_affect_digest(self, digest):
         bare = generators.chain(5, seed=1).graph
         named = Hypergraph(
             n_nodes=bare.n_nodes,
             edges=list(bare.edges),
             node_names=[f"T{i}" for i in range(bare.n_nodes)],
         )
-        assert bare.canonical_fingerprint() == named.canonical_fingerprint()
-        assert bare.canonical_fingerprint(include_names=True) != \
-            named.canonical_fingerprint(include_names=True)
+        assert DIGESTS[digest](bare) == DIGESTS[digest](named)
 
-    def test_different_shapes_differ(self):
+    @pytest.mark.parametrize("digest", sorted(DIGESTS))
+    def test_different_shapes_differ(self, digest):
         chain4 = generators.chain(4, seed=0).graph
         star3 = generators.star(3, seed=0).graph   # also 4 nodes, 3 edges
-        assert chain4.canonical_fingerprint() != \
-            star3.canonical_fingerprint()
+        assert DIGESTS[digest](chain4) != DIGESTS[digest](star3)
 
-    def test_cycle_differs_from_path(self):
+    @pytest.mark.parametrize("digest", sorted(DIGESTS))
+    def test_cycle_differs_from_path(self, digest):
         cycle = generators.cycle(5, seed=0).graph
         path = generators.chain(5, seed=0).graph
-        assert cycle.canonical_fingerprint() != path.canonical_fingerprint()
+        assert DIGESTS[digest](cycle) != DIGESTS[digest](path)
 
     def test_payload_is_structural(self):
         plain = Hypergraph(n_nodes=2)
         plain.add_simple_edge(0, 1)
         annotated = Hypergraph(n_nodes=2)
         annotated.add_simple_edge(0, 1, payload="a.x = b.y")
-        assert plain.canonical_fingerprint() != \
-            annotated.canonical_fingerprint()
+        assert structure_bucket(plain) != structure_bucket(annotated)
 
 
 class TestAnnotatedForms:
@@ -174,7 +180,8 @@ class TestLowLevelApi:
         with pytest.raises(ValueError, match="edge color"):
             canonical_form(2, [(1, 2, 0)], edge_colors=[0.1, 0.2])
 
-    def test_complex_hyperedges_participate(self):
+    @pytest.mark.parametrize("digest", sorted(DIGESTS))
+    def test_complex_hyperedges_participate(self, digest):
         # ({0,1} -- {2}) vs two simple edges: different structures
         complex_graph = Hypergraph(n_nodes=3, edges=[
             Hyperedge(left=bitset.set_of(0, 1), right=bitset.set_of(2)),
@@ -183,10 +190,11 @@ class TestLowLevelApi:
         simple_graph = Hypergraph(n_nodes=3)
         simple_graph.add_simple_edge(0, 1)
         simple_graph.add_simple_edge(1, 2)
-        assert complex_graph.canonical_fingerprint() != \
-            simple_graph.canonical_fingerprint()
+        assert DIGESTS[digest](complex_graph) != \
+            DIGESTS[digest](simple_graph)
 
-    def test_flex_nodes_participate(self):
+    @pytest.mark.parametrize("digest", sorted(DIGESTS))
+    def test_flex_nodes_participate(self, digest):
         with_flex = Hypergraph(n_nodes=3, edges=[
             Hyperedge(
                 left=bitset.set_of(0), right=bitset.set_of(1),
@@ -198,8 +206,7 @@ class TestLowLevelApi:
             Hyperedge(left=bitset.set_of(0), right=bitset.set_of(1)),
             Hyperedge(left=bitset.set_of(1), right=bitset.set_of(2)),
         ])
-        assert with_flex.canonical_fingerprint() != \
-            without_flex.canonical_fingerprint()
+        assert DIGESTS[digest](with_flex) != DIGESTS[digest](without_flex)
 
     def test_payload_token_stability(self):
         assert payload_token(None) is None

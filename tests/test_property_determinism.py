@@ -31,7 +31,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.optimizer import Optimizer, OptimizerConfig, QuerySpec
@@ -100,16 +100,14 @@ def canonical_recipes(batch):
 
 
 def stored_recipes(servers, keys):
-    """The recipes ``servers`` cached for ``keys``.
-
-    Shards route by the query as sent, so two labelings of one query
-    may each fill their shard's entry: they must store the same recipe.
-    """
+    """The recipes ``servers`` cached for ``keys``; each key must be
+    stored on exactly one of them (its structure's home shard)."""
     recipes = {}
     for server in servers:
         for key, entry in server.server.cache.snapshot_entries():
             if key in keys:
-                assert recipes.setdefault(key, entry.recipe) == entry.recipe
+                assert key not in recipes, "key stored on two shards"
+                recipes[key] = entry.recipe
     return recipes
 
 
@@ -185,8 +183,12 @@ def test_plan_is_identical_across_executors_cache_and_restart(batch):
         assert plans(served) == expected
 
 
+STAR_8 = generators.star(8, seed=5)
+
+
 @settings(**COMMON)
 @given(batch=batches())
+@example(batch=[STAR_8] + [relabeled(STAR_8, seed=s) for s in range(1, 6)])
 def test_plan_is_identical_through_the_daemon_and_shards(
     batch, daemon, fleet
 ):

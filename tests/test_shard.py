@@ -1,4 +1,4 @@
-"""Fingerprint sharding: routing stability, disjointness, dead shards.
+"""Structure sharding: routing stability, disjointness, dead shards.
 
 Routing-only tests use endpoints that are never connected to
 (:meth:`~repro.serving.shard.ShardRouter.shard_for` is pure); the
@@ -11,6 +11,8 @@ import pytest
 
 from repro.optimizer import OptimizerConfig, QuerySpec
 from repro.serving import BackgroundServer, ServerError, ShardRouter
+from repro.workloads import generators
+from repro.workloads.repeated import relabeled
 
 
 def spec(i: int, k: int = 0) -> QuerySpec:
@@ -21,7 +23,17 @@ def spec(i: int, k: int = 0) -> QuerySpec:
     )
 
 
+def wire(query) -> QuerySpec:
+    return QuerySpec.from_hypergraph(query.graph, query.cardinalities)
+
+
 FAKE = [("10.0.0.1", 7411), ("10.0.0.2", 7411), ("10.0.0.3", 7411)]
+
+SYMMETRIC = {
+    "star-7": generators.star(7, seed=1),
+    "star-9": generators.star(9, seed=1),
+    "clique-8": generators.clique(8, seed=1),
+}
 
 
 class TestRouting:
@@ -31,8 +43,8 @@ class TestRouting:
             assert router.shard_for(spec(i)) == router.shard_for(spec(i))
 
     def test_isomorphic_queries_share_a_shard(self):
-        """Routing is by structural fingerprint, so relabelings land on
-        the same shard (and therefore share one cached recipe)."""
+        """Routing ignores relation names: a copy with every relation
+        renamed (same node order) lands on the original's shard."""
         router = ShardRouter(FAKE)
         original = QuerySpec(
             relations=[(f"a{j}", 100.0 + 10.0 * j) for j in range(4)],
@@ -43,6 +55,17 @@ class TestRouting:
             joins=[(f"z{j}", f"z{j + 1}", 0.1) for j in range(3)],
         )
         assert router.shard_for(original) == router.shard_for(relabeled)
+
+    @pytest.mark.parametrize("shape", sorted(SYMMETRIC))
+    def test_node_order_relabelings_share_a_shard(self, shape):
+        """Symmetric shapes are where a budgeted canonical search gives
+        up; the structure bucket needs no search, so every node-order
+        relabeling of one query has one home."""
+        router = ShardRouter(FAKE)
+        query = SYMMETRIC[shape]
+        copies = [wire(relabeled(query, seed=seed)) for seed in range(6)]
+        homes = {router.shard_for(copy) for copy in copies}
+        assert homes == {router.shard_for(wire(query))}
 
     def test_rendezvous_spreads_load(self):
         router = ShardRouter(FAKE)
@@ -125,6 +148,15 @@ class TestFleet:
             if survivor_queries:
                 served = router.optimize(survivor_queries[0])
                 assert served.get("via") in ("parent", "pool")
+
+    def test_fallback_answer_has_the_daemon_answer_keys(self, fleet):
+        with ShardRouter([fleet[0].address]) as router:
+            served = router.optimize(spec(1))
+            fleet[0].stop()
+            fallback = router.optimize(spec(2))
+        assert served["via"] in ("parent", "pool")
+        assert fallback["via"] == "fallback"
+        assert fallback.keys() == served.keys()
 
     def test_application_errors_do_not_kill_the_shard(self, fleet):
         disconnected = QuerySpec(
