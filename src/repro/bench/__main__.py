@@ -73,7 +73,8 @@ def main(argv=None) -> int:
     sub.add_parser(
         "serving",
         help="resident plan-serving daemon vs per-batch process pools "
-             "(q/s, p50/p99, delta-sync bytes), emit BENCH_*.json",
+             "(q/s, p50/p99, pool tasks per unique key), "
+             "emit BENCH_*.json",
     )
     sub.add_parser(
         "profile",

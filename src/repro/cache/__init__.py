@@ -10,8 +10,8 @@ plan builder.
 
 Persistence: the cache autosaves to the embedded SQLite store
 (:mod:`repro.cache.store`) — WAL-mode, incremental per-mutation
-upserts, TTL/size-budget compaction, safe multi-process access — so a
-restarted server starts warm (``OptimizerConfig(cache_path=
+upserts, trimmed to the newest ``capacity`` rows, safe multi-process
+access — so a restarted server starts warm (``OptimizerConfig(cache_path=
 "plans.sqlite")``).  The versioned JSON document
 (:mod:`repro.cache.persist`) is the export/import interchange format.
 

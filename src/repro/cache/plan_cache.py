@@ -57,8 +57,8 @@ class CacheEntry:
     cost: Optional[float] = None
     #: value of ``PlanCache.mutations`` when this entry was written —
     #: the cursor :meth:`PlanCache.sync_since` filters on, so delta
-    #: consumers (worker re-warming, autosave change detection) can ask
-    #: for "everything since mutation N" instead of a full snapshot
+    #: consumers (the plan store's autosave, the shared hot tier) can
+    #: ask for "everything since mutation N" instead of a full snapshot
     mutation_id: int = 0
 
 

@@ -11,9 +11,11 @@ import_document`):
   :meth:`~repro.cache.plan_cache.PlanCache.sync_since` mutation
   cursor, upserting exactly the entries
   written since the last sync (O(delta) rows, never a full rewrite);
-* **bounded retention** — per-entry TTLs (``ttl``), an on-disk size
-  budget (``size_budget``) enforced LRU-first, and an optional
-  background compaction thread (``compact_interval``);
+* **bounded retention** — every write transaction trims the store to
+  the newest ``capacity`` rows by write ``seq``, the capacity of the
+  last attached cache: exactly the rows a :meth:`PlanStore.load` of
+  that capacity would absorb, so the file never outgrows the cache it
+  restores;
 * **concurrent access** — SQLite WAL mode gives readers snapshot
   isolation while one writer commits; ``busy_timeout`` plus
   ``BEGIN IMMEDIATE`` single-writer transactions let multiple serving
@@ -49,14 +51,14 @@ exactly like the JSON loader skips entries stale at save time.
 
 Routine syncs are **additive**: entries the cache dropped between
 syncs (LRU evictions, ``invalidate_structure``, replay-failure
-evictions, ``clear``) stay on disk until a TTL/budget sweep, an epoch
+evictions, ``clear``) stay on disk until the capacity trim, an epoch
 bump, or a *force* sync removes them.  ``sync_from(cache, force=True)``
 — the explicit :meth:`Optimizer.save_cache` checkpoint and the serving
 daemon's shutdown save — captures the cache's full membership
 (``sync_since(..., include_order=True)``) and deletes rows no longer
 in it, treating the attached cache as the source of truth.  Deployments
 where several processes *write* one store file should lean on the
-additive autosaves plus epochs/TTL instead: a force sync from one
+additive autosaves plus epochs instead: a force sync from one
 process drops rows its own cache never held.
 
 A ``cache_path`` must carry a store extension (:func:`is_store_path`);
@@ -69,7 +71,6 @@ import ast
 import os
 import sqlite3
 import threading
-import time
 import warnings
 import weakref
 from typing import Any, Iterable, Optional
@@ -77,7 +78,7 @@ from typing import Any, Iterable, Optional
 from ..core.identity import is_process_scoped
 from . import persist
 from .keys import KEY_VERSION
-from .plan_cache import PlanCache
+from .plan_cache import DEFAULT_CAPACITY, PlanCache
 from .store_schema import (
     CREATE_STATEMENTS,
     META_CAPACITY,
@@ -88,7 +89,6 @@ from .store_schema import (
     META_SEQ,
     STORE_FORMAT_NAME,
     STORE_SCHEMA_VERSION,
-    entry_size,
 )
 
 #: extensions :func:`is_store_path` treats as SQLite stores
@@ -96,6 +96,9 @@ STORE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: one entry row: ``(key repr, recipe repr, checksum, structure, cost)``
 Row = tuple[str, str, Optional[str], Optional[str], Optional[float]]
+
+#: one cache entry: ``(key, recipe, structure, cost)``
+Entry = tuple[Any, Any, Optional[str], Optional[float]]
 
 
 def is_store_path(path: str) -> bool:
@@ -126,7 +129,7 @@ class PlanStore:
     returns cold caches and ``sync_from`` returns 0.
 
     Counters (plain ints, written under the lock, read without it):
-    ``rows_written``, ``rows_expired``, ``rows_evicted`` (size budget),
+    ``rows_written``, ``rows_evicted`` (capacity trims),
     ``rows_stale_dropped`` (epoch moved), ``rows_reconciled``
     (membership drops applied by force syncs), ``syncs``,
     ``skipped_syncs`` (clean — no transaction opened),
@@ -141,35 +144,12 @@ class PlanStore:
         self,
         path: str,
         capacity: Optional[int] = None,
-        ttl: Optional[float] = None,
-        size_budget: Optional[int] = None,
         busy_timeout: float = 5.0,
-        compact_interval: Optional[float] = None,
-        vacuum_ratio: Optional[float] = 0.25,
-        vacuum_interval: float = 300.0,
     ) -> None:
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be None or > 0 seconds")
-        if size_budget is not None and size_budget < 1:
-            raise ValueError("size_budget must be None or >= 1 bytes")
         if busy_timeout < 0:
             raise ValueError("busy_timeout must be >= 0")
-        if compact_interval is not None and compact_interval <= 0:
-            raise ValueError("compact_interval must be None or > 0")
-        if vacuum_ratio is not None and not 0.0 < vacuum_ratio <= 1.0:
-            raise ValueError("vacuum_ratio must be None or in (0, 1]")
-        if vacuum_interval <= 0:
-            raise ValueError("vacuum_interval must be > 0 seconds")
         self.path = path
-        self.ttl = ttl
-        self.size_budget = size_budget
         self.busy_timeout = busy_timeout
-        #: online VACUUM policy: after a sweep, when the freelist holds
-        #: at least this fraction of the file's pages, VACUUM — but
-        #: never more than once per ``vacuum_interval`` seconds.
-        #: ``None`` disables the policy (explicit ``vacuum=True`` only).
-        self.vacuum_ratio = vacuum_ratio
-        self.vacuum_interval = vacuum_interval
         self._capacity = capacity
         self._lock = threading.Lock()
         #: identity + cursor + epoch of the attached cache; reset when
@@ -181,7 +161,6 @@ class PlanStore:
         self._cursor = 0
         self._cache_epoch: Optional[int] = None
         self.rows_written = 0
-        self.rows_expired = 0
         self.rows_evicted = 0
         self.rows_stale_dropped = 0
         self.rows_reconciled = 0
@@ -192,22 +171,10 @@ class PlanStore:
         self.load_skipped = 0
         self.checksum_failures = 0
         self.rows_unpersistable = 0
-        self.auto_vacuums = 0
-        self._last_vacuum: Optional[float] = None
         conn, rebuilt = self._open()
         self._conn: Optional[sqlite3.Connection] = conn
         if rebuilt:
             self.rebuilds = 1
-        self._compact_stop = threading.Event()
-        self._compactor: Optional[threading.Thread] = None
-        if compact_interval is not None:
-            self._compactor = threading.Thread(
-                target=self._compact_loop,
-                args=(compact_interval,),
-                name=f"plan-store-compactor:{os.path.basename(path)}",
-                daemon=True,
-            )
-            self._compactor.start()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -218,13 +185,8 @@ class PlanStore:
         self.close()
 
     def close(self) -> None:
-        """Stop background compaction and close the connection."""
-        self._compact_stop.set()
-        compactor = self._compactor
-        if compactor is not None:
-            compactor.join(timeout=5.0)
+        """Close the connection."""
         with self._lock:
-            self._compactor = None
             conn = self._conn
             self._conn = None
             if conn is not None:
@@ -232,10 +194,6 @@ class PlanStore:
                     conn.close()
                 except sqlite3.Error:
                     pass
-
-    def _compact_loop(self, interval: float) -> None:
-        while not self._compact_stop.wait(interval):
-            self.compact()
 
     # -- connection / schema ----------------------------------------------
 
@@ -411,9 +369,9 @@ class PlanStore:
         The incremental autosave primitive: one
         :meth:`~repro.cache.plan_cache.PlanCache.sync_since` call under
         the cache's lock yields the delta, one ``BEGIN IMMEDIATE``
-        transaction upserts exactly those rows (plus inline TTL/budget
-        compaction) — O(delta), never O(cache).  A clean cache skips
-        the transaction entirely unless ``force`` is set.
+        transaction upserts exactly those rows and trims the store to
+        the cache's capacity — O(delta), never O(cache).  A clean cache
+        skips the transaction entirely unless ``force`` is set.
 
         A different cache object than last time resets the cursor to 0
         (full first sync); a cache epoch that moved since the last sync
@@ -421,12 +379,15 @@ class PlanStore:
         the number of entry rows written; failures warn and return 0.
 
         Routine syncs are additive — entries the cache dropped keep
-        their rows until compaction or an epoch bump removes them.  A
-        ``force`` sync additionally captures the cache's full
+        their rows until the capacity trim or an epoch bump removes
+        them.  A ``force`` sync additionally captures the cache's full
         membership and deletes rows no longer in it (counted in
         ``rows_reconciled``), making the store an exact mirror of the
-        attached cache; O(store) work, reserved for explicit
-        checkpoints and shutdown saves.
+        attached cache: a member whose row an earlier capacity trim
+        took (because dropped, imported or foreign rows were newer) is
+        written back below every surviving row, where its old row
+        stood.  O(store) work, reserved for explicit checkpoints and
+        shutdown saves.
         """
         with self._lock:
             if self._conn is None:
@@ -438,27 +399,37 @@ class PlanStore:
                 self._cache_ref = weakref.ref(cache)
                 self._cursor = 0
                 self._cache_epoch = None
-            delta = cache.sync_since(self._cursor, include_order=force)
+            cursor = self._cursor
+            # a force sync needs every fresh member, not just the delta
+            delta = cache.sync_since(
+                0 if force else cursor, include_order=force
+            )
             known_epoch = (
                 self._cache_epoch if self._cache_epoch is not None else 0
             )
             if delta.empty and delta.epoch == known_epoch and not force:
                 self.skipped_syncs += 1
                 return 0
-            retain = (
-                {repr(key) for key in delta.order}
-                if delta.order is not None
-                else None
-            )
+            retain = None
+            held: "dict[str, Entry]" = {}
+            if delta.order is not None:
+                retain = {repr(key) for key in delta.order}
+                # members already persisted, oldest write first
+                held = {
+                    repr(entry[1]): entry[1:]
+                    for entry in sorted(delta.entries, key=lambda e: e[0])
+                    if entry[0] <= cursor
+                }
             rows, unpersistable = _entry_rows(
-                entry[1:] for entry in delta.entries
+                entry[1:] for entry in delta.entries if entry[0] > cursor
             )
-            status, detail, written, expired, stale, evicted, reconciled = (
+            status, detail, written, stale, evicted, reconciled = (
                 self._write_rows(
                     rows,
                     capacity=cache.capacity,
                     bump_epoch=delta.epoch != known_epoch,
                     retain=retain,
+                    held=held,
                 )
             )
             if status == "ok":
@@ -468,7 +439,6 @@ class PlanStore:
                         unpersistable, f"plan-store sync to {self.path!r}"
                     )
                 self.rows_written += written
-                self.rows_expired += expired
                 self.rows_stale_dropped += stale
                 self.rows_evicted += evicted
                 self.rows_reconciled += reconciled
@@ -488,83 +458,110 @@ class PlanStore:
         capacity: Optional[int],
         bump_epoch: bool,
         retain: "Optional[set[str]]" = None,
-    ) -> "tuple[str, str, int, int, int, int, int]":
+        held: "Optional[dict[str, Entry]]" = None,
+    ) -> "tuple[str, str, int, int, int, int]":
         """One write transaction (caller holds the lock).
 
-        Returns ``(status, detail, written, expired, stale, evicted,
-        reconciled)`` with ``status`` one of ``"ok"`` / ``"failed"``
-        (transient: disk full, contention — the file stays healthy) /
-        ``"corrupt"`` (the caller must :meth:`_rebuild_locked` with
-        ``detail``).  ``retain``, when given, is the full key-``repr``
-        membership of the attached cache: rows outside it are deleted
-        (force-sync reconciliation).  Writes no instance state itself —
-        the caller owns the counters, keeping every mutation lexically
-        under ``with self._lock``.
+        Returns ``(status, detail, written, stale, evicted, reconciled)``
+        with ``status`` one of ``"ok"`` / ``"failed"`` (transient: disk
+        full, contention — the file stays healthy) / ``"corrupt"`` (the
+        caller must :meth:`_rebuild_locked` with ``detail``).
+        ``retain``, when given, is the full key-``repr`` membership of
+        the attached cache: rows outside it are deleted (force-sync
+        reconciliation), and the ``held`` members (key ``repr`` ->
+        entry, oldest first) that have no row are written back below
+        the oldest row.  ``capacity``, when given, replaces the
+        recorded one.  Writes no instance state itself — the caller
+        owns the counters, keeping every mutation lexically under
+        ``with self._lock``.
         """
         conn = self._conn
         assert conn is not None
-        now = time.time()
         try:
             conn.execute("BEGIN IMMEDIATE")
             epoch = self._meta_int(conn, META_EPOCH)
             seq = self._meta_int(conn, META_SEQ)
             if bump_epoch:
                 epoch += 1
-            written = 0
-            expires = now + self.ttl if self.ttl is not None else None
-            for key_repr, recipe_repr, checksum, structure, cost in rows:
+            for row in rows:
                 seq += 1
-                conn.execute(
-                    "INSERT INTO entries (key, recipe, checksum, epoch,"
-                    " structure, cost, size, seq, created_at, expires_at)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-                    " ON CONFLICT(key) DO UPDATE SET"
-                    " recipe = excluded.recipe,"
-                    " checksum = excluded.checksum, epoch = excluded.epoch,"
-                    " structure = excluded.structure, cost = excluded.cost,"
-                    " size = excluded.size, seq = excluded.seq,"
-                    " created_at = excluded.created_at,"
-                    " expires_at = excluded.expires_at",
-                    (
-                        key_repr, recipe_repr, checksum, epoch, structure,
-                        cost, entry_size(key_repr, recipe_repr, structure),
-                        seq, now, expires,
-                    ),
-                )
-                written += 1
+                self._upsert(conn, row, epoch, seq)
+            written = len(rows)
             self._meta_set(conn, META_EPOCH, epoch)
             self._meta_set(conn, META_SEQ, seq)
             if capacity is not None:
                 self._meta_set(conn, META_CAPACITY, capacity)
+            else:
+                capacity = self._meta_int(conn, META_CAPACITY) or None
             reconciled = 0
             if retain is not None:
-                doomed = [
-                    row[0]
-                    for row in conn.execute("SELECT key FROM entries")
-                    if row[0] not in retain
-                ]
+                stored = {
+                    row[0] for row in conn.execute("SELECT key FROM entries")
+                }
+                doomed = stored - retain
                 for key in doomed:
                     conn.execute(
                         "DELETE FROM entries WHERE key = ?", (key,)
                     )
                 reconciled = len(doomed)
-            expired, stale, evicted = self._compact_in_txn(conn, now, epoch)
+                missing, _ = _entry_rows(
+                    entry for key, entry in (held or {}).items()
+                    if key not in stored
+                )
+                if missing:
+                    oldest = conn.execute(
+                        "SELECT MIN(seq) FROM entries"
+                    ).fetchone()[0]
+                    below = (seq + 1 if oldest is None else oldest) - len(
+                        missing
+                    )
+                    for offset, row in enumerate(missing):
+                        self._upsert(conn, row, epoch, below + offset)
+                    written += len(missing)
+            stale = conn.execute(
+                "DELETE FROM entries WHERE epoch != ?", (epoch,)
+            ).rowcount
+            evicted = 0
+            if capacity is not None:
+                # keep the newest ``capacity`` rows: exactly what a load
+                # of that capacity absorbs.  The cut-off row is read off
+                # the ``seq`` index, so the trim adds no table scan.
+                evicted = conn.execute(
+                    "DELETE FROM entries WHERE seq <= (SELECT seq FROM"
+                    " entries ORDER BY seq DESC LIMIT 1 OFFSET ?)",
+                    (capacity,),
+                ).rowcount
             conn.execute("COMMIT")
         except sqlite3.OperationalError as exc:
             # disk full / lock contention past busy_timeout: the file
             # stays healthy, this delta just did not land
             self._rollback(conn)
             _warn(f"plan-store sync to {self.path!r} failed: {exc}")
-            return "failed", str(exc), 0, 0, 0, 0, 0
+            return "failed", str(exc), 0, 0, 0, 0
         except sqlite3.DatabaseError as exc:
             # corruption detected mid-run: quarantine and start cold
             self._rollback(conn)
-            return "corrupt", f"write failed: {exc}", 0, 0, 0, 0, 0
+            return "corrupt", f"write failed: {exc}", 0, 0, 0, 0
         except sqlite3.Error as exc:
             self._rollback(conn)
             _warn(f"plan-store sync to {self.path!r} failed: {exc}")
-            return "failed", str(exc), 0, 0, 0, 0, 0
-        return "ok", "", written, expired, stale, evicted, reconciled
+            return "failed", str(exc), 0, 0, 0, 0
+        return "ok", "", written, stale, evicted, reconciled
+
+    @staticmethod
+    def _upsert(
+        conn: sqlite3.Connection, row: Row, epoch: int, seq: int
+    ) -> None:
+        key_repr, recipe_repr, checksum, structure, cost = row
+        conn.execute(
+            "INSERT INTO entries (key, recipe, checksum, epoch, structure,"
+            " cost, seq) VALUES (?, ?, ?, ?, ?, ?, ?)"
+            " ON CONFLICT(key) DO UPDATE SET recipe = excluded.recipe,"
+            " checksum = excluded.checksum, epoch = excluded.epoch,"
+            " structure = excluded.structure, cost = excluded.cost,"
+            " seq = excluded.seq",
+            (key_repr, recipe_repr, checksum, epoch, structure, cost, seq),
+        )
 
     @staticmethod
     def _rollback(conn: sqlite3.Connection) -> None:
@@ -573,185 +570,60 @@ class PlanStore:
         except sqlite3.Error:
             pass
 
-    # -- compaction -------------------------------------------------------
-
-    def _compact_in_txn(
-        self, conn: sqlite3.Connection, now: float, epoch: int
-    ) -> "tuple[int, int, int]":
-        """TTL + stale-epoch + size-budget sweep inside an open txn.
-
-        Returns ``(expired, stale, evicted)`` row counts.  Eviction is
-        LRU-first: lowest write ``seq`` goes first, exactly the order
-        :meth:`load` would absorb (and the in-memory LRU would evict).
-        """
-        cursor = conn.execute(
-            "DELETE FROM entries"
-            " WHERE expires_at IS NOT NULL AND expires_at <= ?",
-            (now,),
-        )
-        expired = cursor.rowcount
-        cursor = conn.execute(
-            "DELETE FROM entries WHERE epoch != ?", (epoch,)
-        )
-        stale = cursor.rowcount
-        evicted = 0
-        if self.size_budget is not None:
-            row = conn.execute(
-                "SELECT COALESCE(SUM(size), 0) FROM entries"
-            ).fetchone()
-            total = int(row[0])
-            if total > self.size_budget:
-                for key, size in conn.execute(
-                    "SELECT key, size FROM entries ORDER BY seq ASC"
-                ).fetchall():
-                    if total <= self.size_budget:
-                        break
-                    conn.execute(
-                        "DELETE FROM entries WHERE key = ?", (key,)
-                    )
-                    total -= int(size)
-                    evicted += 1
-        return expired, stale, evicted
-
-    def compact(
-        self, now: Optional[float] = None, vacuum: bool = False
-    ) -> "dict[str, int]":
-        """Run one TTL / stale-epoch / size-budget sweep now.
-
-        ``now`` overrides the wall clock (tests pin expiry
-        deterministically); ``vacuum=True`` additionally runs SQLite
-        ``VACUUM`` after the sweep to return freed pages to the
-        filesystem.  Returns the removed-row counts; failures warn and
-        return zeros.  Transient failures (lock contention past
-        ``busy_timeout`` — exactly what the background compactor can
-        hit under multi-process use — or a full disk) leave the file
-        healthy; only genuine corruption quarantines and rebuilds.
-
-        Online VACUUM policy: without an explicit ``vacuum=True``, the
-        sweep still vacuums when the freelist ratio
-        (``freelist_count / page_count``) reaches ``vacuum_ratio`` —
-        TTL and budget deletes return pages to the freelist, not to
-        the filesystem, so a long-lived store would otherwise only
-        ever grow.  Rate-limited to once per ``vacuum_interval``
-        seconds (VACUUM rewrites the whole file and blocks writers),
-        counted in ``auto_vacuums``.
-        """
-        with self._lock:
-            if self._conn is None:
-                return {"expired": 0, "stale": 0, "evicted": 0}
-            conn = self._conn
-            moment = time.time() if now is None else now
-            try:
-                conn.execute("BEGIN IMMEDIATE")
-                epoch = self._meta_int(conn, META_EPOCH)
-                expired, stale, evicted = self._compact_in_txn(
-                    conn, moment, epoch
-                )
-                conn.execute("COMMIT")
-            except sqlite3.OperationalError as exc:
-                # transient (locked / disk full): the file stays
-                # healthy, this sweep just did not run — NOT corruption
-                # (OperationalError subclasses DatabaseError, so this
-                # branch must come first)
-                self._rollback(conn)
-                _warn(f"plan-store compaction of {self.path!r} failed: {exc}")
-                return {"expired": 0, "stale": 0, "evicted": 0}
-            except sqlite3.DatabaseError as exc:
-                self._rollback(conn)
-                self._rebuild_locked(f"compaction failed: {exc}")
-                return {"expired": 0, "stale": 0, "evicted": 0}
-            except sqlite3.Error as exc:
-                self._rollback(conn)
-                _warn(f"plan-store compaction of {self.path!r} failed: {exc}")
-                return {"expired": 0, "stale": 0, "evicted": 0}
-            # the sweep is committed: record it before the optional
-            # VACUUM, whose failure must not discard these counts
-            self.rows_expired += expired
-            self.rows_stale_dropped += stale
-            self.rows_evicted += evicted
-            auto = False
-            if not vacuum and self.vacuum_ratio is not None:
-                due = (
-                    self._last_vacuum is None
-                    or moment - self._last_vacuum >= self.vacuum_interval
-                )
-                auto = (
-                    due
-                    and self._freelist_ratio(conn) >= self.vacuum_ratio
-                )
-            if vacuum or auto:
-                try:
-                    conn.execute("VACUUM")
-                    self._last_vacuum = moment
-                    if auto:
-                        self.auto_vacuums += 1
-                except sqlite3.Error as exc:
-                    _warn(
-                        f"plan-store VACUUM of {self.path!r} failed: "
-                        f"{exc}; the sweep itself is committed"
-                    )
-            return {"expired": expired, "stale": stale, "evicted": evicted}
-
-    @staticmethod
-    def _freelist_ratio(conn: sqlite3.Connection) -> float:
-        """Fraction of the file's pages sitting on the freelist."""
-        try:
-            freelist = conn.execute("PRAGMA freelist_count").fetchone()
-            pages = conn.execute("PRAGMA page_count").fetchone()
-        except sqlite3.Error:
-            return 0.0
-        if freelist is None or pages is None or int(pages[0]) == 0:
-            return 0.0
-        return int(freelist[0]) / int(pages[0])
-
     # -- reading ----------------------------------------------------------
 
     def _fresh_rows(
-        self, conn: sqlite3.Connection, now: float
+        self, conn: sqlite3.Connection, limit: int = -1
     ) -> list[Row]:
-        """Servable rows (current epoch, unexpired), LRU-first."""
+        """The newest ``limit`` servable (current-epoch) rows, oldest
+        first; every one of them when ``limit`` is negative."""
         epoch = self._meta_int(conn, META_EPOCH)
-        return conn.execute(
+        rows = conn.execute(
             "SELECT key, recipe, checksum, structure, cost FROM entries"
-            " WHERE epoch = ?"
-            " AND (expires_at IS NULL OR expires_at > ?)"
-            " ORDER BY seq ASC",
-            (epoch, now),
+            " WHERE epoch = ? ORDER BY seq DESC LIMIT ?",
+            (epoch, limit),
         ).fetchall()
+        rows.reverse()
+        return rows
 
     def load(self, capacity: Optional[int] = None) -> PlanCache:
         """Rebuild a warm :class:`PlanCache` from the store.
 
-        Only rows at the current store epoch and within TTL are
-        absorbed, LRU-first (the same rules the JSON loader applies);
-        unparsable or foreign rows are skipped with a warning, and so
-        are rows whose checksum does not match their key and recipe.
-        The returned cache is *attached*: its current state counts as
-        already persisted, so a restarted server's first all-hits batch
-        triggers no write.  Never raises — any trouble degrades to a
-        cold cache.
+        Only the newest ``capacity`` rows at the current store epoch
+        are read, and absorbed oldest-first (the same rules the JSON
+        loader applies), so a loader smaller than the writer parses no
+        row it would discard.  ``capacity`` defaults to the one the
+        store records.  Unparsable or foreign rows are skipped with a
+        warning, and so are rows whose checksum does not match their
+        key and recipe.  The returned cache is *attached*: its current
+        state counts as already persisted, so a restarted server's
+        first all-hits batch triggers no write.  Never raises — any
+        trouble degrades to a cold cache.
         """
         with self._lock:
-            capacity = capacity if capacity is not None else self._capacity
+            capacity = capacity or self._capacity
             if self._conn is None:
-                return PlanCache(capacity) if capacity else PlanCache()
+                return PlanCache(capacity or DEFAULT_CAPACITY)
             conn = self._conn
             try:
-                if capacity is None:
-                    capacity = self._meta_int(conn, META_CAPACITY, 0) or None
-                rows = self._fresh_rows(conn, time.time())
+                capacity = (
+                    capacity
+                    or self._meta_int(conn, META_CAPACITY)
+                    or DEFAULT_CAPACITY
+                )
+                rows = self._fresh_rows(conn, capacity)
             except sqlite3.OperationalError as exc:
                 # transient (locked / disk full): cold cache for this
                 # call, but the file stays healthy — must be caught
                 # before its DatabaseError superclass
                 _warn(f"plan-store load from {self.path!r} failed: {exc}")
-                return PlanCache(capacity) if capacity else PlanCache()
+                return PlanCache(capacity or DEFAULT_CAPACITY)
             except sqlite3.DatabaseError as exc:
                 self._rebuild_locked(f"load failed: {exc}")
-                return PlanCache(capacity) if capacity else PlanCache()
+                return PlanCache(capacity or DEFAULT_CAPACITY)
             except sqlite3.Error as exc:
                 _warn(f"plan-store load from {self.path!r} failed: {exc}")
-                return PlanCache(capacity) if capacity else PlanCache()
+                return PlanCache(capacity or DEFAULT_CAPACITY)
             items = []
             skipped = 0
             corrupt = 0
@@ -776,7 +648,7 @@ class PlanStore:
                     f"plan-store load skipped {skipped} unparsable or "
                     f"foreign entr{'y' if skipped == 1 else 'ies'}"
                 )
-            cache = PlanCache(capacity) if capacity else PlanCache()
+            cache = PlanCache(capacity)
             cache.absorb(items)
             # attach: the loaded content IS the persisted content
             self._cache_ref = weakref.ref(cache)
@@ -791,10 +663,14 @@ class PlanStore:
                 return 0
             try:
                 if fresh_only:
-                    return len(self._fresh_rows(self._conn, time.time()))
-                row = self._conn.execute(
-                    "SELECT COUNT(*) FROM entries"
-                ).fetchone()
+                    row = self._conn.execute(
+                        "SELECT COUNT(*) FROM entries WHERE epoch = ?",
+                        (self._meta_int(self._conn, META_EPOCH),),
+                    ).fetchone()
+                else:
+                    row = self._conn.execute(
+                        "SELECT COUNT(*) FROM entries"
+                    ).fetchone()
                 return int(row[0])
             except sqlite3.Error:
                 return 0
@@ -823,7 +699,7 @@ class PlanStore:
                         conn, META_CAPACITY, capacity
                     )
                     for key_repr, recipe_repr, checksum, structure, cost in (
-                        self._fresh_rows(conn, time.time())
+                        self._fresh_rows(conn)
                     ):
                         entries.append({
                             "key": key_repr,
@@ -854,7 +730,8 @@ class PlanStore:
         The migration path from a JSON file: entries are validated by
         the document loader's rules (bad documents warn and import
         nothing, process-scoped keys are dropped), then upserted at the
-        *current* store epoch in one transaction.  Returns the number of
+        *current* store epoch in one transaction, which trims the store
+        to its recorded capacity like every sync.  Returns the number of
         rows written.
         """
         cache = persist.restore_document(document)
@@ -866,7 +743,7 @@ class PlanStore:
         with self._lock:
             if self._conn is None:
                 return 0
-            status, detail, written, expired, stale, evicted, _ = (
+            status, detail, written, stale, evicted, _ = (
                 self._write_rows(rows, capacity=None, bump_epoch=False)
             )
             if status != "ok":
@@ -880,7 +757,6 @@ class PlanStore:
                     unpersistable, f"plan-store import into {self.path!r}"
                 )
             self.rows_written += written
-            self.rows_expired += expired
             self.rows_stale_dropped += stale
             self.rows_evicted += evicted
             return written
@@ -892,7 +768,6 @@ class PlanStore:
         return {
             "path": self.path,
             "rows_written": self.rows_written,
-            "rows_expired": self.rows_expired,
             "rows_evicted": self.rows_evicted,
             "rows_stale_dropped": self.rows_stale_dropped,
             "rows_reconciled": self.rows_reconciled,
@@ -903,9 +778,6 @@ class PlanStore:
             "load_skipped": self.load_skipped,
             "checksum_failures": self.checksum_failures,
             "rows_unpersistable": self.rows_unpersistable,
-            "auto_vacuums": self.auto_vacuums,
-            "ttl": self.ttl,
-            "size_budget": self.size_budget,
             "entries": self.entry_count(fresh_only=False),
         }
 
@@ -916,9 +788,7 @@ class PlanStore:
 # -- delta / row helpers ------------------------------------------------------
 
 
-def _entry_rows(
-    entries: Iterable[tuple[Any, Any, Optional[str], Optional[float]]],
-) -> tuple[list[Row], int]:
+def _entry_rows(entries: Iterable[Entry]) -> tuple[list[Row], int]:
     """Serialize ``(key, recipe, structure, cost)`` entries to store
     rows (repr text, no pickle).
 

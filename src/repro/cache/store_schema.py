@@ -13,9 +13,9 @@ Two tables:
     :data:`~repro.cache.keys.KEY_VERSION` every entry key was built
     under — plus the store's statistics ``epoch``, the monotone write
     sequence counter ``seq``, and the last attached cache's LRU
-    ``capacity``.  A mismatch on any compatibility field degrades to a
-    cold store (the file is rebuilt), mirroring the persistence
-    layer's whole-file rejection.
+    ``capacity`` (the number of rows the store retains).  A mismatch
+    on any compatibility field degrades to a cold store (the file is
+    rebuilt), mirroring the persistence layer's whole-file rejection.
 
 ``entries``
     One row per cached plan, keyed by the ``repr`` of the cache key
@@ -26,9 +26,8 @@ Two tables:
     row).  ``epoch`` stamps the store epoch the
     entry was fresh under; rows whose epoch is not the current meta
     epoch are stale and skipped on load.  ``seq`` is the row's write
-    sequence (recency order for LRU compaction and load ordering),
-    ``size`` the serialized byte footprint the size budget accounts,
-    and ``expires_at`` the absolute expiry time (NULL = no TTL).
+    sequence: load order, and the order in which every write
+    transaction trims the store to the newest ``capacity`` rows.
 
 The store appends/upserts per mutation — O(delta) rows per autosave —
 which is why the layout is row-per-entry rather than one JSON blob:
@@ -45,8 +44,9 @@ STORE_FORMAT_NAME = "repro-plan-store"
 
 #: bump when the *store* layout changes incompatibly (independent of
 #: KEY_VERSION, which tracks key/recipe semantics, and of the JSON
-#: document's FORMAT_VERSION).  2: the ``checksum`` column
-STORE_SCHEMA_VERSION = 2
+#: document's FORMAT_VERSION).  2: the ``checksum`` column; 3: the
+#: ``size``, ``created_at`` and ``expires_at`` columns are gone
+STORE_SCHEMA_VERSION = 3
 
 #: ``meta`` keys making up the compatibility header; a missing or
 #: mismatched value rejects the whole file (cold rebuild + warning)
@@ -75,34 +75,10 @@ CREATE_STATEMENTS: "tuple[str, ...]" = (
         epoch      INTEGER NOT NULL,
         structure  TEXT,
         cost       REAL,
-        size       INTEGER NOT NULL,
-        seq        INTEGER NOT NULL,
-        created_at REAL NOT NULL,
-        expires_at REAL
+        seq        INTEGER NOT NULL
     )
     """,
-    # recency order: load ordering and LRU-end selection for the
-    # size-budget compactor
+    # recency order: load ordering and the capacity trim's cut-off
     "CREATE INDEX IF NOT EXISTS entries_seq ON entries (seq)",
-    # TTL sweep: the compactor deletes by expiry without a full scan
-    "CREATE INDEX IF NOT EXISTS entries_expires ON entries (expires_at)"
-    " WHERE expires_at IS NOT NULL",
 )
 
-
-def entry_size(key_repr: str, recipe_repr: str, structure: "str | None") -> int:
-    """Byte footprint one entry row charges against the size budget.
-
-    Serialized text lengths plus a flat per-row overhead approximating
-    SQLite's record/index cost.  Deliberately an *estimate*: the
-    budget bounds growth and drives LRU eviction order; it is not an
-    exact ``du`` of the file (WAL and page slack make that moving
-    target meaningless to account per row).
-    """
-    overhead = 64
-    return (
-        len(key_repr)
-        + len(recipe_repr)
-        + (len(structure) if structure else 0)
-        + overhead
-    )

@@ -173,24 +173,3 @@ class NeighborhoodIndex:
         for target in kept:
             result |= target & -target  # min(v) as representative
         return result
-
-    def reachable_from(self, start: NodeSet, within: NodeSet) -> NodeSet:
-        """Grow ``start`` to everything reachable inside ``within``.
-
-        Used by workload validation and the greedy heuristic; not part
-        of the DPhyp inner loop.
-        """
-        reached = start
-        changed = True
-        while changed:
-            changed = False
-            grown = reached | (self.simple_neighborhood(reached) & within)
-            for anchor, emit, flex in self.oriented_complex:
-                if anchor & reached == anchor and (emit | flex) & within == (
-                    emit | flex
-                ):
-                    grown |= emit | flex
-            if grown != reached:
-                reached = grown
-                changed = True
-        return reached

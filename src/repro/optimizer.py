@@ -637,14 +637,6 @@ class OptimizerConfig:
         cache_autosave: autosave the cache to ``cache_path`` at the
             end of each ``optimize_many`` batch (default on; explicit
             :meth:`Optimizer.save_cache` always works).
-        cache_ttl: per-entry time-to-live in seconds for the plan
-            store — persisted entries expire this long after their last
-            write and are swept by compaction.  ``None`` (default)
-            keeps entries until evicted by the size budget.
-        cache_size_budget: on-disk size budget in bytes for the plan
-            store; when the store outgrows it, least recently written
-            entries are evicted first.  ``None`` (default) =
-            unbounded.
         cache_namespace: optional label folded into every cache key.
             Optimizers (or serving clients — see ``docs/serving.md``)
             with different namespaces never serve each other's entries
@@ -677,8 +669,6 @@ class OptimizerConfig:
     cache_size: int = DEFAULT_CAPACITY
     cache_path: Optional[str] = None
     cache_autosave: bool = True
-    cache_ttl: Optional[float] = None
-    cache_size_budget: Optional[int] = None
     cache_namespace: Optional[str] = None
     parallel_workers: Optional[int] = None
     executor: str = "thread"
@@ -699,8 +689,6 @@ class OptimizerConfig:
         "cache_size",
         "cache_path",
         "cache_autosave",
-        "cache_ttl",
-        "cache_size_budget",
         "parallel_workers",
         "executor",
         "pipeline",
@@ -736,10 +724,6 @@ class OptimizerConfig:
                 "PlanStore(store_path).import_document(document), where "
                 "document = json.load(open(json_path))"
             )
-        if self.cache_ttl is not None and self.cache_ttl <= 0:
-            raise ValueError("cache_ttl must be None or > 0 seconds")
-        if self.cache_size_budget is not None and self.cache_size_budget < 1:
-            raise ValueError("cache_size_budget must be None or >= 1 bytes")
         if self.parallel_workers is not None and self.parallel_workers < 1:
             raise ValueError("parallel_workers must be None or >= 1")
         if self.executor not in ("thread", "process"):
@@ -942,8 +926,6 @@ class Optimizer:
             self._store = PlanStore(
                 self.config.cache_path,  # type: ignore[arg-type]
                 capacity=self.config.cache_size,
-                ttl=self.config.cache_ttl,
-                size_budget=self.config.cache_size_budget,
             )
         return self._store
 

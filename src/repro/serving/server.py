@@ -184,14 +184,11 @@ class PlanServer:
         self.debug_ops = debug_ops
         if config.cache_path is not None:
             #: the :class:`~repro.cache.store.PlanStore` behind
-            #: ``cache_path`` (incremental row upserts, TTL/size-budget
-            #: compaction); ``load()`` attaches the cache so the
+            #: ``cache_path`` (incremental row upserts, trimmed to the
+            #: cache's capacity); ``load()`` attaches the cache so the
             #: just-loaded content counts as already persisted
             self._store: Optional[PlanStore] = PlanStore(
-                config.cache_path,
-                capacity=config.cache_size,
-                ttl=config.cache_ttl,
-                size_budget=config.cache_size_budget,
+                config.cache_path, capacity=config.cache_size
             )
             self.cache = self._store.load()
         else:
@@ -321,8 +318,8 @@ class PlanServer:
         ``force`` (the shutdown save) writes even a clean cache and
         lets the store reconcile dropped entries.
 
-        The sync is a real disk transaction (plus inline TTL/budget
-        compaction), so it runs in a worker thread, and without the
+        The sync is a real disk transaction (plus the capacity trim),
+        so it runs in a worker thread, and without the
         server lock, which every request takes: the store serializes
         syncs on its own lock (``check_same_thread=False``).
         """

@@ -186,13 +186,3 @@ class TestComplexAnchorSkip:
         index = NeighborhoodIndex(graph)
         assert index.anchor_mins == 0
         assert not index.has_complex
-
-
-class TestReachability:
-    def test_reachable_from(self, fig2_graph):
-        index = NeighborhoodIndex(fig2_graph)
-        universe = fig2_graph.all_nodes
-        assert index.reachable_from(bitset.singleton(0), universe) == universe
-        # restricted to the left chain only
-        left = bitset.set_of(0, 1, 2)
-        assert index.reachable_from(bitset.singleton(0), left) == left

@@ -77,10 +77,6 @@ def perturb(config: OptimizerConfig, name: str) -> OptimizerConfig:
         value = "on" if current == "off" else "off"
     elif name == "cache_path":
         value = "other.sqlite" if current != "other.sqlite" else None
-    elif name == "cache_ttl":
-        value = 60.0 if current != 60.0 else 120.0
-    elif name == "cache_size_budget":
-        value = 1 << 20 if current != 1 << 20 else 1 << 21
     elif name == "cache_namespace":
         # deliberately keyed (the one plumbing-looking exception):
         # namespaces exist to partition a shared cache

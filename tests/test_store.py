@@ -8,8 +8,9 @@ The contract under test (docs/store.md):
   rows, asserted both via the store's mutation-cursor accounting and
   via raw SQLite ``total_changes``, and a clean cache opens no
   transaction at all;
-* TTL expiry, the on-disk size budget, and epoch bumps bound what the
-  store retains (compaction removes exactly the right rows);
+* every write transaction trims the store to the newest ``capacity``
+  rows, and epoch bumps drop stale rows, so the store never retains
+  a row no load would serve;
 * the ``meta`` compatibility header (format / schema version /
   KEY_VERSION) rejects foreign or version-stale files with a
   ``CachePersistenceWarning`` and a cold rebuild, never an exception;
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import os
 import sqlite3
-import time
 import warnings
 
 import pytest
@@ -224,150 +224,173 @@ class TestIncrementalWrites:
             assert len(reader.load()) == 4
 
 
-class TestTTL:
-    def test_expired_entries_not_loaded(self, tmp_path):
-        with PlanStore(store_path(tmp_path), ttl=0.05) as store:
-            store.sync_from(make_cache(entries=3))
-            assert store.entry_count() == 3
-            time.sleep(0.08)
-            assert store.entry_count() == 0
-            assert len(store.load()) == 0
-
-    def test_compaction_sweeps_expired_rows(self, tmp_path):
-        with PlanStore(store_path(tmp_path), ttl=1000.0) as store:
-            store.sync_from(make_cache(entries=4))
-            swept = store.compact(now=time.time() + 2000.0)
-            assert swept["expired"] == 4
-            assert store.entry_count(fresh_only=False) == 0
-            assert store.rows_expired == 4
-
-    def test_refresh_extends_the_ttl(self, tmp_path):
-        cache = make_cache(entries=1)
-        with PlanStore(store_path(tmp_path), ttl=1000.0) as store:
-            store.sync_from(cache)
-            key = (KEY_VERSION, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
-            cache.store(key, (0, (0, 1)))  # refresh the same key
-            store.sync_from(cache)
-            # the refresh moved created_at/expires_at forward
-            swept = store.compact(now=time.time() + 500.0)
-            assert swept["expired"] == 0
-
-    def test_background_compactor_runs(self, tmp_path):
-        with PlanStore(
-            store_path(tmp_path), ttl=0.01, compact_interval=0.02
-        ) as store:
-            store.sync_from(make_cache(entries=3))
-            deadline = time.time() + 5.0
-            while time.time() < deadline:
-                if store.entry_count(fresh_only=False) == 0:
-                    break
-                time.sleep(0.02)
-            assert store.entry_count(fresh_only=False) == 0
-            assert store.rows_expired == 3
-
-
-class TestSizeBudget:
-    def test_over_budget_evicts_lru_first(self, tmp_path):
-        cache = make_cache(entries=20)
-        # room for only a handful of ~100-byte rows
-        with PlanStore(store_path(tmp_path), size_budget=500) as store:
-            store.sync_from(cache)
-            remaining = store.load(capacity=32)
-            assert 0 < len(remaining) < 20
-            assert store.rows_evicted > 0
-            # the newest entry always survives
-            newest, status = remaining.probe(
-                (KEY_VERSION, "digest-19", ("auto", "hyperedges", ("m", "q"), 14))
-            )
-            assert status == "hit" and newest.recipe == (19, (0, 1))
-            # the oldest went first
-            gone, status = remaining.probe(
-                (KEY_VERSION, "digest-0", ("auto", "hyperedges", ("m", "q"), 14))
-            )
-            assert status == "miss"
-
-    def test_budget_keeps_file_usable(self, tmp_path):
-        """Continuous over-budget writing never errors out."""
-        with PlanStore(store_path(tmp_path), size_budget=400) as store:
-            cache = PlanCache(64)
-            for i in range(50):
+class TestRetention:
+    def test_store_keeps_only_the_newest_capacity_rows(self, tmp_path):
+        """N > capacity distinct stores, each synced, leave exactly
+        ``capacity`` rows: the newest, which are what a load absorbs."""
+        cache = PlanCache(8)
+        with PlanStore(store_path(tmp_path)) as store:
+            for i in range(100):
                 cache.store(
-                    (KEY_VERSION, f"flood-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
+                    (KEY_VERSION, f"key-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
                     (i, (0, 1)),
                 )
                 store.sync_from(cache)
-            assert store.failed_syncs == 0
-            assert len(store.load(capacity=64)) >= 1
-
-
-def bulky_cache(entries=60, payload=2000) -> PlanCache:
-    """Entries big enough that deleting them leaves real freelist pages."""
-    cache = PlanCache(entries + 8)
-    for i in range(entries):
-        cache.store(
-            (KEY_VERSION, f"bulky-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
-            (i, "x" * payload),
-            structure=f"bucket-{i % 2}",
-            cost=float(i),
+            assert store.entry_count(fresh_only=False) == 8
+            assert store.rows_written == 100
+            assert store.rows_evicted == 92
+            loaded = store.load()
+        assert [entry.recipe[0] for _, entry in loaded.snapshot_entries()] == (
+            list(range(92, 100))
         )
-    return cache
 
+    def test_import_trims_to_the_recorded_capacity(self, tmp_path):
+        path = store_path(tmp_path)
+        with PlanStore(path) as store:
+            store.sync_from(make_cache(entries=2, capacity=4))
+            document = persist.dump_document(make_cache(entries=10, capacity=16))
+            assert store.import_document(document) == 10
+            assert store.entry_count(fresh_only=False) == 4
 
-class TestVacuumPolicy:
-    def test_auto_vacuum_fires_on_freelist_ratio(self, tmp_path):
-        """A sweep that frees enough pages triggers the online VACUUM
-        without anyone passing ``vacuum=True``."""
-        with PlanStore(
-            store_path(tmp_path), ttl=100.0, vacuum_ratio=0.2
-        ) as store:
-            store.sync_from(bulky_cache())
-            swept = store.compact(now=time.time() + 200.0)
-            assert swept["expired"] == 60
-            assert store.auto_vacuums == 1
-            assert store.counters()["auto_vacuums"] == 1
-            # the pages really went back to the filesystem
-            ratio = store._freelist_ratio(store._conn)
-            assert ratio < 0.2
+    def test_smaller_loader_parses_only_the_rows_it_keeps(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cache import store as store_module
 
-    def test_auto_vacuum_is_rate_limited(self, tmp_path):
-        moment = time.time()
-        with PlanStore(
-            store_path(tmp_path), ttl=100.0,
-            vacuum_ratio=0.01, vacuum_interval=300.0,
-        ) as store:
-            store.sync_from(bulky_cache(entries=30))
-            store.compact(now=moment + 200.0)
-            assert store.auto_vacuums == 1
-            # new garbage right away: over the ratio, inside the window
-            store.sync_from(bulky_cache(entries=30))
-            store.compact(now=moment + 400.0)
-            assert store.auto_vacuums == 1
-            # the window elapses: the policy may act again
-            store.sync_from(bulky_cache(entries=30))
-            store.compact(now=moment + 400.0 + 301.0)
-            assert store.auto_vacuums == 2
+        parsed = []
+        real = store_module._parse_row
 
-    def test_policy_disabled_with_none_ratio(self, tmp_path):
-        with PlanStore(
-            store_path(tmp_path), ttl=100.0, vacuum_ratio=None
-        ) as store:
-            store.sync_from(bulky_cache())
-            store.compact(now=time.time() + 200.0)
-            assert store.auto_vacuums == 0
+        def counting(key_repr, recipe_repr):
+            parsed.append(key_repr)
+            return real(key_repr, recipe_repr)
 
-    def test_explicit_vacuum_is_not_counted_as_auto(self, tmp_path):
-        with PlanStore(store_path(tmp_path), ttl=100.0) as store:
-            store.sync_from(bulky_cache(entries=10))
-            store.compact(now=time.time() + 200.0, vacuum=True)
-            assert store.auto_vacuums == 0
+        with PlanStore(store_path(tmp_path)) as store:
+            store.sync_from(make_cache(entries=6, capacity=16))
+            monkeypatch.setattr(store_module, "_parse_row", counting)
+            small = store.load(capacity=2)
+        assert len(small) == 2 and len(parsed) == 2
+        assert all("digest-4" in key or "digest-5" in key for key in parsed)
+
+    @pytest.mark.parametrize("entries", [3, 4, 5])
+    def test_trim_cut_off_is_exact(self, tmp_path, entries):
+        """Just under, at and just over the capacity: the trim's
+        ``OFFSET`` keeps ``min(entries, capacity)`` rows, the newest."""
+        cache = PlanCache(4)
+        with PlanStore(store_path(tmp_path)) as store:
+            for i in range(entries):
+                cache.store(
+                    (KEY_VERSION, f"key-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
+                    (i, (0, 1)),
+                )
+                store.sync_from(cache)
+            assert store.entry_count(fresh_only=False) == min(entries, 4)
+            assert store.rows_evicted == max(0, entries - 4)
+            loaded = store.load()
+        assert [entry.recipe[0] for _, entry in loaded.snapshot_entries()] == (
+            list(range(max(0, entries - 4), entries))
+        )
+
+    def test_refreshed_key_outlives_the_trim(self, tmp_path):
+        """A re-stored key is rewritten with a new ``seq``, so the trim
+        takes the key the cache evicted, not the refreshed one."""
+        cache = PlanCache(2)
+        keys = [
+            (KEY_VERSION, name, ("auto", "hyperedges", ("m", "q"), 14))
+            for name in ("a", "b", "c")
+        ]
+        with PlanStore(store_path(tmp_path)) as store:
+            cache.store(keys[0], (0, (0, 1)))
+            cache.store(keys[1], (1, (0, 1)))
+            store.sync_from(cache)
+            cache.store(keys[0], (10, (0, 1)))  # refresh "a"
+            cache.store(keys[2], (2, (0, 1)))  # the cache evicts "b"
+            store.sync_from(cache)
+            assert store.entry_count(fresh_only=False) == 2
+            assert store.rows_evicted == 1
+            loaded = store.load()
+        assert [
+            (key, entry.recipe[0]) for key, entry in loaded.snapshot_entries()
+        ] == [(keys[0], 10), (keys[2], 2)]
+
+    def test_smaller_cache_trims_a_bigger_store_on_its_first_sync(
+        self, tmp_path
+    ):
+        """The capacity is the last synced cache's: a smaller cache
+        attached to a store written by a bigger one trims it."""
+        path = store_path(tmp_path)
+        with PlanStore(path) as store:
+            store.sync_from(make_cache(entries=8, capacity=8))
+        with PlanStore(path) as store:
+            small = store.load(capacity=3)
+            assert store.entry_count(fresh_only=False) == 8  # loads write nothing
+            small.store(
+                (KEY_VERSION, "new", ("auto", "hyperedges", ("m", "q"), 14)),
+                (99, (0, 1)),
+            )
+            assert store.sync_from(small) == 1
+            assert store.entry_count(fresh_only=False) == 3
+            assert store.rows_evicted == 6
+        with PlanStore(path) as store:
+            reloaded = store.load()  # the recorded capacity is now 3
+        assert [entry.recipe[0] for _, entry in reloaded.snapshot_entries()] == [
+            6, 7, 99
+        ]
+
+    def test_stale_rows_are_counted_apart_from_the_trim(self, tmp_path):
+        """An epoch bump drops the old epoch's rows as stale before the
+        trim counts anything, in the same transaction."""
+        cache = make_cache(entries=4, capacity=4)
+        with PlanStore(store_path(tmp_path)) as store:
+            store.sync_from(cache)
+            cache.bump_epoch()
+            cache.store(
+                (KEY_VERSION, "fresh", ("auto", "hyperedges", ("m", "q"), 14)),
+                (5, (0, 1)),
+            )
+            assert store.sync_from(cache) == 1
+            assert store.rows_stale_dropped == 4
+            assert store.rows_evicted == 0
+            assert store.entry_count(fresh_only=False) == 1
+
+    def test_counters_report_trims_without_the_retired_knobs(self, tmp_path):
+        with PlanStore(store_path(tmp_path)) as store:
+            store.sync_from(make_cache(entries=2, capacity=2))
+            store.import_document(
+                persist.dump_document(make_cache(entries=5))
+            )
+            counters = store.counters()
+        assert counters["rows_evicted"] == 3
+        assert counters["entries"] == 2
+        for retired in ("rows_expired", "auto_vacuums", "ttl", "size_budget"):
+            assert retired not in counters
 
     def test_knob_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            PlanStore(store_path(tmp_path), vacuum_ratio=0.0)
-        with pytest.raises(ValueError):
-            PlanStore(store_path(tmp_path), vacuum_ratio=1.5)
-        with pytest.raises(ValueError):
-            PlanStore(store_path(tmp_path), vacuum_interval=0.0)
+        """The store takes ``path``, ``capacity`` and ``busy_timeout``
+        only; retention has no knob of its own."""
+        with pytest.raises(ValueError, match="busy_timeout"):
+            PlanStore(store_path(tmp_path), busy_timeout=-1.0)
+        for retired in ("ttl", "size_budget", "compact_interval",
+                        "vacuum_ratio", "vacuum_interval"):
+            with pytest.raises(TypeError):
+                PlanStore(store_path(tmp_path), **{retired: 1.0})
+        assert not hasattr(PlanStore, "compact")
+
+    def test_load_absorbs_oldest_first(self, tmp_path):
+        """A smaller load keeps the newest rows in write order, so the
+        first entry the loaded cache evicts is the oldest loaded row."""
+        with PlanStore(store_path(tmp_path)) as store:
+            store.sync_from(make_cache(entries=6, capacity=8))
+            loaded = store.load(capacity=3)
+        assert [entry.recipe[0] for _, entry in loaded.snapshot_entries()] == [
+            3, 4, 5
+        ]
+        loaded.store(
+            (KEY_VERSION, "next", ("auto", "hyperedges", ("m", "q"), 14)),
+            (6, (0, 1)),
+        )
+        assert [entry.recipe[0] for _, entry in loaded.snapshot_entries()] == [
+            4, 5, 6
+        ]
 
 
 class TestForceReconciliation:
@@ -433,6 +456,31 @@ class TestForceReconciliation:
             assert store.rows_reconciled == 1
             gone, status = store.load(capacity=16).probe(evicted)
         assert status == "miss"
+
+    def test_force_sync_writes_back_a_member_the_trim_took(self, tmp_path):
+        """A dropped entry's row outlives it and can push a member out
+        of the newest ``capacity`` rows; the force sync still mirrors
+        the cache, in the order the rows were written."""
+        cache = PlanCache(2)
+        keys = [
+            (KEY_VERSION, name, ("auto", "hyperedges", ("m", "q"), 14))
+            for name in ("a", "b", "c")
+        ]
+        with PlanStore(store_path(tmp_path)) as store:
+            cache.store(keys[0], (0, (0, 1)), structure="keep")
+            store.sync_from(cache)
+            cache.store(keys[1], (1, (0, 1)), structure="drop")
+            store.sync_from(cache)
+            assert cache.invalidate_structure("drop") == 1
+            cache.store(keys[2], (2, (0, 1)), structure="keep")
+            store.sync_from(cache)
+            assert store.rows_evicted == 1  # the trim took "a"
+            assert store.sync_from(cache, force=True) == 1
+            assert store.rows_reconciled == 1  # and "b" went
+            loaded = store.load()
+        assert [key for key, _ in loaded.snapshot_entries()] == [
+            keys[0], keys[2]
+        ]
 
     def test_force_sync_of_a_clean_cache_writes_no_rows(self, tmp_path):
         """``force`` checkpoints membership; it does not rewrite rows
@@ -543,6 +591,7 @@ class TestVersioning:
 
     @pytest.mark.parametrize("meta_key,bad_value", [
         ("format", "some-other-format"),
+        ("schema_version", str(STORE_SCHEMA_VERSION - 1)),
         ("schema_version", str(STORE_SCHEMA_VERSION + 1)),
         ("key_version", str(KEY_VERSION + 1)),
     ])
@@ -745,24 +794,30 @@ class TestOptimizerWiring:
         )
         assert all(e == "hit" for e in events_of(warm))
 
-    def test_ttl_budget_knobs_reach_the_store(self, tmp_path):
-        config = OptimizerConfig(
-            cache="on",
-            cache_path=store_path(tmp_path),
-            cache_ttl=123.0,
-            cache_size_budget=1 << 20,
-        )
+    def test_store_is_bounded_by_cache_size(self, tmp_path):
+        """The optimizer's store records ``cache_size`` and keeps no
+        more rows than that, whatever the number of shapes planned."""
+        path = store_path(tmp_path)
+        config = OptimizerConfig(cache="on", cache_path=path, cache_size=3)
         optimizer = Optimizer(config)
-        optimizer.plan_cache  # open the store
-        store = optimizer._store
-        assert store.ttl == 123.0
-        assert store.size_budget == 1 << 20
+        shapes = [generators.chain(n, seed=1) for n in range(3, 9)]
+        for shape in shapes:
+            optimizer.optimize_many(repeated_workload(shape, 2, seed=2))
+        assert optimizer._store.entry_count(fresh_only=False) == 3
+        restarted = Optimizer(config)
+        warm = restarted.optimize_many(
+            repeated_workload(shapes[-1], 2, seed=2)
+        )
+        assert all(e == "hit" for e in events_of(warm))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="cache_ttl"):
-            OptimizerConfig(cache_ttl=0.0)
-        with pytest.raises(ValueError, match="cache_size_budget"):
-            OptimizerConfig(cache_size_budget=0)
+        with pytest.raises(ValueError, match="cache_size"):
+            OptimizerConfig(cache_size=0)
+        with pytest.raises(ValueError, match="cache_path"):
+            OptimizerConfig(cache_path="plans.json")
+        for retired in ("cache_ttl", "cache_size_budget"):
+            with pytest.raises(TypeError):
+                OptimizerConfig(**{retired: 1})
 
 
 class TestServingWiring:

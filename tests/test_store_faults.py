@@ -11,7 +11,7 @@ and never serves a stale or mangled key.  The scenarios:
 * torn writes — a slice of the file body overwritten with garbage;
 * the file replaced entirely with non-SQLite bytes;
 * a full disk, simulated with ``PRAGMA max_page_count``;
-* a size budget far too small for the working set;
+* a burst of syncs into a two-entry cache;
 * a recipe float flipped on disk (the row checksum drops it), and a
   plan whose floats are not finite (kept out of the store visibly).
 """
@@ -24,7 +24,6 @@ import signal
 import sqlite3
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -79,9 +78,8 @@ store.sync_from(cache)
 conn = sqlite3.connect(path, isolation_level=None)
 conn.execute("BEGIN IMMEDIATE")
 conn.execute(
-    "INSERT INTO entries"
-    " (key, recipe, epoch, structure, cost, size, seq, created_at)"
-    " VALUES (?, ?, 1, NULL, NULL, 64, 999, 0.0)",
+    "INSERT INTO entries (key, recipe, epoch, structure, cost, seq)"
+    " VALUES (?, ?, 1, NULL, NULL, 999)",
     (repr((KEY_VERSION, "torn", ())), repr((9, (0, 1)))),
 )
 print("READY", flush=True)
@@ -231,24 +229,54 @@ class TestTransientErrorsAreNotCorruption:
     corruption branch, or a routine hiccup quarantines a healthy store
     and loses every persisted plan."""
 
-    def test_locked_compact_does_not_quarantine(self, tmp_path):
+    def test_locked_sync_does_not_quarantine(self, tmp_path):
         path = str(tmp_path / "plans.sqlite")
         store = PlanStore(path, busy_timeout=0.05)
-        store.sync_from(make_cache(entries=3))
+        cache = make_cache(entries=3)
+        store.sync_from(cache)
+        cache.store(
+            (KEY_VERSION, "pending", ("auto", "hyperedges", ("m", "q"), 14)),
+            (7, (0, 1)),
+        )
         blocker = sqlite3.connect(path, isolation_level=None)
         blocker.execute("BEGIN IMMEDIATE")  # exactly what a concurrent
         try:                                # process's writer holds
             with pytest.warns(CachePersistenceWarning, match="locked"):
-                swept = store.compact()
-            assert swept == {"expired": 0, "stale": 0, "evicted": 0}
+                assert store.sync_from(cache) == 0
+            assert store.failed_syncs == 1
             assert store.rebuilds == 0
             assert not os.path.exists(path + ".corrupt")
         finally:
             blocker.execute("ROLLBACK")
             blocker.close()
-        # the store file is healthy: the sweep just runs next time
+        # the store file is healthy: the delta lands on the next sync
         assert store.entry_count() == 3
-        assert store.compact() == {"expired": 0, "stale": 0, "evicted": 0}
+        assert store.sync_from(cache) == 1
+        assert store.entry_count() == 4
+        store.close()
+
+    def test_locked_import_does_not_quarantine(self, tmp_path):
+        """An import runs the same write transaction as a sync (upsert,
+        stale sweep, capacity trim): a locked file fails it whole."""
+        path = str(tmp_path / "plans.sqlite")
+        store = PlanStore(path, busy_timeout=0.05)
+        store.sync_from(make_cache(entries=3))
+        document = persist.dump_document(make_cache(entries=6))
+        blocker = sqlite3.connect(path, isolation_level=None)
+        blocker.execute("BEGIN IMMEDIATE")
+        try:
+            with pytest.warns(CachePersistenceWarning, match="locked"):
+                assert store.import_document(document) == 0
+            assert store.failed_syncs == 1
+            assert store.rebuilds == 0
+            assert store.rows_evicted == 0
+            assert not os.path.exists(path + ".corrupt")
+        finally:
+            blocker.execute("ROLLBACK")
+            blocker.close()
+        assert store.entry_count() == 3
+        assert store.import_document(document) == 6
+        assert store.entry_count() == 6
         store.close()
 
     def test_transient_load_failure_does_not_quarantine(
@@ -258,7 +286,7 @@ class TestTransientErrorsAreNotCorruption:
         store = PlanStore(path)
         store.sync_from(make_cache(entries=3))
 
-        def locked(conn, now):
+        def locked(conn, limit):
             raise sqlite3.OperationalError("database is locked")
 
         monkeypatch.setattr(store, "_fresh_rows", locked)
@@ -269,34 +297,6 @@ class TestTransientErrorsAreNotCorruption:
         assert not os.path.exists(path + ".corrupt")
         monkeypatch.undo()
         assert len(store.load()) == 3  # nothing was lost
-        store.close()
-
-    def test_vacuum_failure_keeps_sweep_counts(self, tmp_path):
-        """A failed post-sweep VACUUM must not discard the committed
-        sweep's counters, and must never quarantine the store."""
-        path = str(tmp_path / "plans.sqlite")
-        store = PlanStore(path, ttl=1000.0)
-        store.sync_from(make_cache(entries=4))
-
-        real = store._conn
-
-        class VacuumBomb:
-            def execute(self, sql, *args):
-                if sql == "VACUUM":
-                    raise sqlite3.OperationalError("database is locked")
-                return real.execute(sql, *args)
-
-            def __getattr__(self, name):
-                return getattr(real, name)
-
-        store._conn = VacuumBomb()
-        with pytest.warns(CachePersistenceWarning, match="VACUUM"):
-            swept = store.compact(now=time.time() + 2000.0, vacuum=True)
-        assert swept == {"expired": 4, "stale": 0, "evicted": 0}
-        assert store.rows_expired == 4
-        assert store.rebuilds == 0
-        assert not os.path.exists(path + ".corrupt")
-        store._conn = real
         store.close()
 
 
@@ -326,10 +326,12 @@ class TestDiskPressure:
         assert len(store.load()) == 4
         store.close()
 
-    def test_tiny_size_budget_never_raises(self, tmp_path):
+    def test_sync_burst_into_a_tiny_cache_keeps_its_capacity(
+        self, tmp_path
+    ):
         path = str(tmp_path / "plans.sqlite")
-        with PlanStore(path, size_budget=200) as store:
-            cache = PlanCache(64)
+        with PlanStore(path) as store:
+            cache = PlanCache(2)
             for i in range(40):
                 cache.store(
                     (KEY_VERSION, f"burst-{i}", ("auto", "hyperedges", ("m", "q"), 14)),
@@ -337,9 +339,8 @@ class TestDiskPressure:
                 )
                 store.sync_from(cache)
             assert store.failed_syncs == 0
-            assert store.rows_evicted > 0
-            survivors = store.load(capacity=64)
-            assert 1 <= len(survivors) < 40
+            assert store.entry_count(fresh_only=False) == 2
+            assert len(store.load(capacity=64)) == 2
 
     def test_optimizer_survives_full_disk_autosave(self, tmp_path):
         """End-to-end: autosave hits a full disk; planning continues."""

@@ -7,10 +7,11 @@ Two families of properties:
   (and the reverse migration ``dump_document`` ->
   ``import_document`` -> ``load``) with identical keys, recipes,
   structures, costs, and epoch bookkeeping;
-* **compaction exactness** — the TTL sweep removes *exactly* the rows
-  whose expiry has passed, and the size-budget sweep keeps *exactly*
-  the maximal LRU suffix that fits the budget — no row lost to an
-  off-by-one, none retained past its bound.
+* **retention exactness** — under any sequence of stores, routine
+  and force syncs, epoch bumps and reopens, the store never holds
+  more than its capacity of rows, and a load serves exactly the newest
+  ``capacity`` keys by last write at the current epoch — no row lost
+  to an off-by-one, none retained past its bound.
 
 Stores live in per-example temporary directories created inside the
 test body (a function-scoped ``tmp_path`` would leak state across
@@ -20,14 +21,12 @@ hypothesis examples).
 from __future__ import annotations
 
 import os
-import sqlite3
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import KEY_VERSION, PlanCache, PlanStore, persist
-from repro.cache.store_schema import entry_size
 
 COMMON = dict(deadline=None, max_examples=40)
 
@@ -139,84 +138,104 @@ def test_import_document_round_trip(entries):
         assert repr(entry.recipe) == repr(recipe)
 
 
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), st.integers(min_value=0, max_value=9)),
+        st.tuples(st.sampled_from(("sync", "force", "bump", "reopen",
+                                   "reload")), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+@settings(**COMMON)
+@given(capacity=st.integers(min_value=1, max_value=5), operations=OPERATIONS)
+def test_store_holds_at_most_capacity_rows_and_loads_the_newest(
+    capacity, operations
+):
+    """Stores, routine and force syncs, epoch bumps and reopens: the
+    store never holds more than ``capacity`` rows, and a load serves
+    the newest ``capacity`` keys by last write at the current epoch,
+    as of the last sync."""
+    # reference: key -> recipe for every write since the cache's last
+    # epoch bump, in last-write order
+    fresh: "dict[str, int]" = {}
+    synced: "list[tuple[str, int]]" = []
+    cache = PlanCache(capacity)
+    writes = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plans.sqlite")
+        store = PlanStore(path, capacity=capacity)
+        try:
+            for op, arg in operations:
+                if op == "store":
+                    writes += 1
+                    suffix = f"k{arg}"
+                    cache.store(_key(suffix), writes)
+                    fresh.pop(suffix, None)
+                    fresh[suffix] = writes
+                elif op in ("sync", "force"):
+                    store.sync_from(cache, force=op == "force")
+                    synced = list(fresh.items())[-capacity:]
+                elif op == "bump":
+                    cache.bump_epoch()
+                    fresh.clear()
+                elif op == "reopen":
+                    store.close()
+                    store = PlanStore(path, capacity=capacity)
+                else:  # reload: a restarted process serves the store
+                    store.close()
+                    store = PlanStore(path, capacity=capacity)
+                    cache = store.load()
+                    fresh = dict(synced)
+                assert store.entry_count(fresh_only=False) <= capacity
+                with PlanStore(path) as reader:
+                    loaded = reader.load(capacity=capacity)
+                assert [
+                    (key, entry.recipe)
+                    for key, entry in loaded.snapshot_entries()
+                ] == [(_key(suffix), recipe) for suffix, recipe in synced]
+        finally:
+            store.close()
+
+
 @settings(**COMMON)
 @given(
-    entries=ENTRIES,
-    offsets=st.data(),
+    capacity=st.integers(min_value=1, max_value=8),
+    synced=ENTRIES,
+    imported=ENTRIES,
 )
-def test_ttl_compaction_removes_exactly_the_expired(entries, offsets):
-    """Rows with expiry <= now vanish; every other row survives."""
-    cache = PlanCache(64)
-    _fill(cache, entries)
-    suffixes = sorted(entries)
-    # per-row expiry offsets around a pinned "now" of 1000.0
-    expiries = {
-        suffix: offsets.draw(
-            st.floats(min_value=1.0, max_value=2000.0, allow_nan=False),
-            label=f"expiry:{suffix}",
-        )
-        for suffix in suffixes
-    }
+def test_import_keeps_the_newest_recorded_capacity_rows(
+    capacity, synced, imported
+):
+    """An import trims to the capacity the last sync recorded: the
+    rows left are the newest ``capacity`` keys by last write, with the
+    imported entries written after the synced ones."""
+    cache = PlanCache(capacity)
+    _fill(cache, synced)
+    document = persist.dump_document(_filled(imported))
+    # reference: last-write order over the cache's survivors, then
+    # the document's entries in its own (oldest-first) order
+    order = [key for key, _ in cache.snapshot_entries()]
+    for key, _ in persist.restore_document(document).snapshot_entries():
+        if key in order:
+            order.remove(key)
+        order.append(key)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "plans.sqlite")
-        store = PlanStore(path, ttl=10_000.0)
-        store.sync_from(cache)
-        # simulate rows written at varying times: pin each expiry
-        conn = sqlite3.connect(path)
-        for suffix, expiry in expiries.items():
-            conn.execute(
-                "UPDATE entries SET expires_at = ? WHERE key = ?",
-                (expiry, repr(_key(suffix))),
-            )
-        conn.commit()
-        conn.close()
-
-        swept = store.compact(now=1000.0)
-        expected_gone = {s for s, t in expiries.items() if t <= 1000.0}
-        assert swept["expired"] == len(expected_gone)
-        remaining = {
-            row[0]
-            for row in sqlite3.connect(path).execute(
-                "SELECT key FROM entries"
-            )
-        }
-        store.close()
-    assert remaining == {
-        repr(_key(s)) for s in suffixes if s not in expected_gone
-    }
-
-
-@settings(**COMMON)
-@given(entries=ENTRIES, budget=st.integers(min_value=1, max_value=4000))
-def test_size_budget_keeps_exactly_the_fitting_lru_suffix(entries, budget):
-    """Survivors = the longest newest-first run that fits the budget."""
-    cache = PlanCache(64)
-    _fill(cache, entries)
-    # dict preserves insertion order == cache write order == seq order
-    ordered = list(entries.items())
-    sizes = {
-        suffix: entry_size(
-            repr(_key(suffix)), repr(recipe), structure
-        )
-        for suffix, (recipe, structure, cost) in ordered
-    }
-    total = sum(sizes.values())
-    expected = dict(ordered)
-    for suffix, _payload in ordered:  # evict LRU-first (lowest seq)
-        if total <= budget:
-            break
-        total -= sizes[suffix]
-        del expected[suffix]
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "plans.sqlite")
-        with PlanStore(path, size_budget=budget) as store:
+        with PlanStore(path) as store:
             store.sync_from(cache)
-            remaining = {
-                row[0]
-                for row in sqlite3.connect(path).execute(
-                    "SELECT key FROM entries"
-                )
-            }
-            assert store.rows_evicted == len(entries) - len(expected)
-    assert remaining == {repr(_key(s)) for s in expected}
+            assert store.import_document(document) == len(imported)
+            assert store.entry_count(fresh_only=False) == min(
+                len(order), capacity
+            )
+            loaded = store.load()
+    assert [key for key, _ in loaded.snapshot_entries()] == (
+        order[-capacity:]
+    )
+
+
+def _filled(entries: dict) -> PlanCache:
+    cache = PlanCache(64)
+    _fill(cache, entries)
+    return cache
