@@ -230,6 +230,36 @@ def save(cache: PlanCache, path: str) -> int:
 # -- deserialization ---------------------------------------------------------
 
 
+def parse_entry(
+    key_repr: Any, recipe_repr: Any, checksum: Any
+) -> "tuple[str, Any, Any]":
+    """Parse one persisted entry by the rules every loader shares.
+
+    Returns ``(verdict, key, recipe)``; ``key`` and ``recipe`` are
+    ``None`` unless ``verdict`` is ``"ok"``.  The other verdicts, in
+    the order they are checked: ``"scoped"`` — a process-scoped key,
+    whose identity tokens mean nothing in this lifetime; ``"skipped"``
+    — text that is not a literal (parsed with :func:`ast.literal_eval`
+    only, never pickle), or a key that is not a non-empty tuple opening
+    with :data:`KEY_VERSION`; ``"corrupt"`` — ``checksum`` is not the
+    :func:`entry_checksum` of the key and recipe text.  Callers keep
+    their own counters and warnings.
+    """
+    try:
+        if is_process_scoped(key_repr):
+            return "scoped", None, None
+        key = ast.literal_eval(key_repr)
+        recipe = ast.literal_eval(recipe_repr)
+    except (TypeError, ValueError, SyntaxError, MemoryError,
+            RecursionError):
+        return "skipped", None, None
+    if not isinstance(key, tuple) or not key or key[0] != KEY_VERSION:
+        return "skipped", None, None
+    if checksum != entry_checksum(key_repr, recipe_repr):
+        return "corrupt", None, None
+    return "ok", key, recipe
+
+
 def _parse_strict(document: Any, capacity: Optional[int]) -> PlanCache:
     """Rebuild a cache from a document; raise ``ValueError`` on trouble.
 
@@ -277,32 +307,23 @@ def _parse_strict(document: Any, capacity: Optional[int]) -> PlanCache:
             if raw["epoch"] != saved_epoch:
                 skipped += 1  # stale at save time: statistics moved on
                 continue
-            if is_process_scoped(raw["key"]):
-                # Possibly another lifetime's identity tokens: dropped
-                # without a warning (save() filters them, so these only
-                # occur in foreign files or unsaved dump_document()s).
-                continue
-            key = ast.literal_eval(raw["key"])
-            recipe = ast.literal_eval(raw["recipe"])
-            if (
-                not isinstance(key, tuple)
-                or not key
-                or key[0] != KEY_VERSION
-            ):
-                skipped += 1
-                continue
-            if raw.get("checksum") != entry_checksum(
-                raw["key"], raw["recipe"]
-            ):
-                corrupt += 1
-                continue
+            verdict, key, recipe = parse_entry(
+                raw["key"], raw["recipe"], raw.get("checksum")
+            )
             structure = raw.get("structure")
             cost = raw.get("cost")
-        except (KeyError, TypeError, ValueError, SyntaxError,
-                MemoryError, RecursionError):
+        except (KeyError, TypeError):
             skipped += 1
             continue
-        items.append((key, recipe, structure, cost))
+        if verdict == "ok":
+            items.append((key, recipe, structure, cost))
+        elif verdict == "corrupt":
+            corrupt += 1
+        elif verdict == "skipped":
+            skipped += 1
+        # "scoped": possibly another lifetime's identity tokens, dropped
+        # without a warning (save() filters them, so these only occur
+        # in foreign files or unsaved dump_document()s)
     if skipped:
         _warn(
             f"plan-cache load skipped {skipped} stale or unparsable "

@@ -84,13 +84,6 @@ class CacheDelta:
     now: int
     epoch: int
     entries: "tuple[tuple[int, Any, Any, Optional[str], Optional[float]], ...]"
-    #: full key membership, LRU-first, captured under the same lock —
-    #: only when the consumer asked for it
-    #: (``sync_since(..., include_order=True)``).  Mirror consumers
-    #: (the SQLite store's force syncs) reconcile drops and LRU
-    #: evictions against it; additive consumers (routine store
-    #: autosaves) ignore it.
-    order: "Optional[tuple[Any, ...]]" = None
 
     @property
     def empty(self) -> bool:
@@ -252,9 +245,7 @@ class PlanCache:
             ]
             return entries, self._epoch, self.mutations
 
-    def sync_since(
-        self, mutation_id: int, include_order: bool = False
-    ) -> CacheDelta:
+    def sync_since(self, mutation_id: int) -> CacheDelta:
         """Atomic delta: everything written after mutation ``mutation_id``.
 
         One lock acquisition yields a consistent ``(now, epoch,
@@ -271,14 +262,12 @@ class PlanCache:
         at the *current* epoch are never shipped — consumers absorb
         entries fresh at their own epoch, so shipping a stale one would
         resurrect it (the same rule the persistence loader applies).
+        ``sync_since(0)`` is therefore every fresh member, LRU-first:
+        the SQLite store's force syncs rewrite the store from it.
 
-        ``include_order=True`` additionally captures the full key
-        membership (LRU-first) in ``delta.order`` under the same lock,
-        for *mirror* consumers that must also reconcile drops and LRU
-        evictions (the SQLite store's force syncs).  Additive
-        consumers should leave it off: the membership tuple is O(cache
-        size) to build, exactly the cost delta consumers exist to
-        avoid.
+        The entries shipped are O(delta), but once anything changed,
+        finding them scans every entry under the lock: O(cache size)
+        per call, even for a one-entry delta.
         """
         with self._lock:
             if mutation_id >= self.mutations:
@@ -301,7 +290,6 @@ class PlanCache:
                 now=self.mutations,
                 epoch=self._epoch,
                 entries=entries,
-                order=tuple(self._entries) if include_order else None,
             )
 
     def hot_delta(self, max_entries: int) -> CacheDelta:

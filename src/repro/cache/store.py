@@ -9,8 +9,8 @@ import_document`):
 
 * **incremental writes** — :meth:`PlanStore.sync_from` consumes the
   :meth:`~repro.cache.plan_cache.PlanCache.sync_since` mutation
-  cursor, upserting exactly the entries
-  written since the last sync (O(delta) rows, never a full rewrite);
+  cursor, upserting exactly the entries written since the last sync:
+  O(delta) rows written, though finding the delta scans the cache;
 * **bounded retention** — every write transaction trims the store to
   the newest ``capacity`` rows by write ``seq``, the capacity of the
   last attached cache: exactly the rows a :meth:`PlanStore.load` of
@@ -42,24 +42,21 @@ a warning) and the query is recomputed.  Entries whose floats cannot
 round-trip (``inf``, ``nan``) are never written
 (``rows_unpersistable``, with a warning).
 
-Epoch semantics: the store keeps its own ``epoch`` in ``meta`` and
-every entry row stamps the epoch it was fresh under.  When the
-attached cache's statistics epoch moves between syncs, the store epoch
-is bumped and older rows become stale —
-:meth:`PlanStore.load` only absorbs rows at the current store epoch,
-exactly like the JSON loader skips entries stale at save time.
+Epochs: the store keeps none of its own.  When the attached cache's
+statistics epoch moved since the last sync, the sync starts by
+deleting every row (``rows_stale_dropped``), so every row the store
+holds is fresh and :meth:`PlanStore.load` filters nothing.
 
 Routine syncs are **additive**: entries the cache dropped between
 syncs (LRU evictions, ``invalidate_structure``, replay-failure
 evictions, ``clear``) stay on disk until the capacity trim, an epoch
-bump, or a *force* sync removes them.  ``sync_from(cache, force=True)``
+move, or a *force* sync removes them.  ``sync_from(cache, force=True)``
 — the explicit :meth:`Optimizer.save_cache` checkpoint and the serving
-daemon's shutdown save — captures the cache's full membership
-(``sync_since(..., include_order=True)``) and deletes rows no longer
-in it, treating the attached cache as the source of truth.  Deployments
-where several processes *write* one store file should lean on the
-additive autosaves plus epochs instead: a force sync from one
-process drops rows its own cache never held.
+daemon's shutdown save — rewrites the store from the cache: every
+fresh member in LRU order, so a reload restores the cache's
+membership and recency.  Deployments where several processes *write*
+one store file should lean on the additive autosaves instead: a force
+sync from one process drops rows its own cache never held.
 
 A ``cache_path`` must carry a store extension (:func:`is_store_path`);
 ``OptimizerConfig`` rejects anything else.  See ``docs/store.md``.
@@ -67,7 +64,6 @@ A ``cache_path`` must carry a store extension (:func:`is_store_path`);
 
 from __future__ import annotations
 
-import ast
 import os
 import sqlite3
 import threading
@@ -82,7 +78,6 @@ from .plan_cache import DEFAULT_CAPACITY, PlanCache
 from .store_schema import (
     CREATE_STATEMENTS,
     META_CAPACITY,
-    META_EPOCH,
     META_FORMAT,
     META_KEY_VERSION,
     META_SCHEMA_VERSION,
@@ -131,7 +126,8 @@ class PlanStore:
     Counters (plain ints, written under the lock, read without it):
     ``rows_written``, ``rows_evicted`` (capacity trims),
     ``rows_stale_dropped`` (epoch moved), ``rows_reconciled``
-    (membership drops applied by force syncs), ``syncs``,
+    (rows a force sync dropped because the cache no longer holds their
+    key), ``syncs``,
     ``skipped_syncs`` (clean — no transaction opened),
     ``failed_syncs``, ``rebuilds`` (quarantine events),
     ``load_skipped`` (unparsable/foreign rows), ``checksum_failures``
@@ -276,7 +272,6 @@ class PlanStore:
             META_FORMAT: STORE_FORMAT_NAME,
             META_SCHEMA_VERSION: str(STORE_SCHEMA_VERSION),
             META_KEY_VERSION: str(KEY_VERSION),
-            META_EPOCH: "0",
             META_SEQ: "0",
         }
         if self._capacity is not None:
@@ -370,23 +365,25 @@ class PlanStore:
         :meth:`~repro.cache.plan_cache.PlanCache.sync_since` call under
         the cache's lock yields the delta, one ``BEGIN IMMEDIATE``
         transaction upserts exactly those rows and trims the store to
-        the cache's capacity — O(delta), never O(cache).  A clean cache
-        skips the transaction entirely unless ``force`` is set.
+        the cache's capacity.  The rows written are O(delta), but the
+        sync is not: ``sync_since`` scans every cache entry to find the
+        delta, and the trim's ``OFFSET`` walks ``capacity`` entries of
+        the ``seq`` index.  A clean cache skips the transaction
+        entirely unless ``force`` is set.
 
         A different cache object than last time resets the cursor to 0
         (full first sync); a cache epoch that moved since the last sync
-        bumps the *store* epoch so older rows become stale.  Returns
-        the number of entry rows written; failures warn and return 0.
+        deletes every row first (``rows_stale_dropped``).  Returns the
+        number of entry rows written; failures warn and return 0.
 
         Routine syncs are additive — entries the cache dropped keep
-        their rows until the capacity trim or an epoch bump removes
-        them.  A ``force`` sync additionally captures the cache's full
-        membership and deletes rows no longer in it (counted in
-        ``rows_reconciled``), making the store an exact mirror of the
-        attached cache: a member whose row an earlier capacity trim
-        took (because dropped, imported or foreign rows were newer) is
-        written back below every surviving row, where its old row
-        stood.  O(store) work, reserved for explicit checkpoints and
+        their rows until the capacity trim or an epoch move removes
+        them.  A ``force`` sync rewrites the store from the cache: every
+        fresh, persistable member is written LRU-first with a new
+        ``seq``, and every older row is deleted (``rows_reconciled``:
+        the cache no longer holds its key), so a reload restores the
+        cache's exact membership and recency.  It serializes every
+        member — O(cache), reserved for explicit checkpoints and
         shutdown saves.
         """
         with self._lock:
@@ -399,37 +396,23 @@ class PlanStore:
                 self._cache_ref = weakref.ref(cache)
                 self._cursor = 0
                 self._cache_epoch = None
-            cursor = self._cursor
-            # a force sync needs every fresh member, not just the delta
-            delta = cache.sync_since(
-                0 if force else cursor, include_order=force
-            )
+            # a force sync rewrites every fresh member, not just the delta
+            delta = cache.sync_since(0 if force else self._cursor)
             known_epoch = (
                 self._cache_epoch if self._cache_epoch is not None else 0
             )
             if delta.empty and delta.epoch == known_epoch and not force:
                 self.skipped_syncs += 1
                 return 0
-            retain = None
-            held: "dict[str, Entry]" = {}
-            if delta.order is not None:
-                retain = {repr(key) for key in delta.order}
-                # members already persisted, oldest write first
-                held = {
-                    repr(entry[1]): entry[1:]
-                    for entry in sorted(delta.entries, key=lambda e: e[0])
-                    if entry[0] <= cursor
-                }
             rows, unpersistable = _entry_rows(
-                entry[1:] for entry in delta.entries if entry[0] > cursor
+                entry[1:] for entry in delta.entries
             )
             status, detail, written, stale, evicted, reconciled = (
                 self._write_rows(
                     rows,
                     capacity=cache.capacity,
-                    bump_epoch=delta.epoch != known_epoch,
-                    retain=retain,
-                    held=held,
+                    epoch_moved=delta.epoch != known_epoch,
+                    rewrite=force,
                 )
             )
             if status == "ok":
@@ -456,9 +439,8 @@ class PlanStore:
     def _write_rows(
         self, rows: list[Row],
         capacity: Optional[int],
-        bump_epoch: bool,
-        retain: "Optional[set[str]]" = None,
-        held: "Optional[dict[str, Entry]]" = None,
+        epoch_moved: bool = False,
+        rewrite: bool = False,
     ) -> "tuple[str, str, int, int, int, int]":
         """One write transaction (caller holds the lock).
 
@@ -466,66 +448,40 @@ class PlanStore:
         with ``status`` one of ``"ok"`` / ``"failed"`` (transient: disk
         full, contention — the file stays healthy) / ``"corrupt"`` (the
         caller must :meth:`_rebuild_locked` with ``detail``).
-        ``retain``, when given, is the full key-``repr`` membership of
-        the attached cache: rows outside it are deleted (force-sync
-        reconciliation), and the ``held`` members (key ``repr`` ->
-        entry, oldest first) that have no row are written back below
-        the oldest row.  ``capacity``, when given, replaces the
-        recorded one.  Writes no instance state itself — the caller
-        owns the counters, keeping every mutation lexically under
-        ``with self._lock``.
+        ``epoch_moved`` deletes every row before ``rows`` are upserted
+        (``stale``); ``rewrite`` deletes every row older than ``rows``
+        after they are (``reconciled``).  ``capacity``, when given,
+        replaces the recorded one.  Writes no instance state itself —
+        the caller owns the counters, keeping every mutation lexically
+        under ``with self._lock``.
         """
         conn = self._conn
         assert conn is not None
         try:
             conn.execute("BEGIN IMMEDIATE")
-            epoch = self._meta_int(conn, META_EPOCH)
-            seq = self._meta_int(conn, META_SEQ)
-            if bump_epoch:
-                epoch += 1
+            stale = reconciled = evicted = 0
+            if epoch_moved:
+                stale = conn.execute("DELETE FROM entries").rowcount
+            seq = older = self._meta_int(conn, META_SEQ)
             for row in rows:
                 seq += 1
-                self._upsert(conn, row, epoch, seq)
-            written = len(rows)
-            self._meta_set(conn, META_EPOCH, epoch)
+                self._upsert(conn, row, seq)
             self._meta_set(conn, META_SEQ, seq)
+            if rewrite:
+                # every member now has a newer ``seq``; what is left
+                # over holds a key the cache no longer has
+                reconciled = conn.execute(
+                    "DELETE FROM entries WHERE seq <= ?", (older,)
+                ).rowcount
             if capacity is not None:
                 self._meta_set(conn, META_CAPACITY, capacity)
             else:
                 capacity = self._meta_int(conn, META_CAPACITY) or None
-            reconciled = 0
-            if retain is not None:
-                stored = {
-                    row[0] for row in conn.execute("SELECT key FROM entries")
-                }
-                doomed = stored - retain
-                for key in doomed:
-                    conn.execute(
-                        "DELETE FROM entries WHERE key = ?", (key,)
-                    )
-                reconciled = len(doomed)
-                missing, _ = _entry_rows(
-                    entry for key, entry in (held or {}).items()
-                    if key not in stored
-                )
-                if missing:
-                    oldest = conn.execute(
-                        "SELECT MIN(seq) FROM entries"
-                    ).fetchone()[0]
-                    below = (seq + 1 if oldest is None else oldest) - len(
-                        missing
-                    )
-                    for offset, row in enumerate(missing):
-                        self._upsert(conn, row, epoch, below + offset)
-                    written += len(missing)
-            stale = conn.execute(
-                "DELETE FROM entries WHERE epoch != ?", (epoch,)
-            ).rowcount
-            evicted = 0
             if capacity is not None:
                 # keep the newest ``capacity`` rows: exactly what a load
                 # of that capacity absorbs.  The cut-off row is read off
-                # the ``seq`` index, so the trim adds no table scan.
+                # the ``seq`` index (the ``OFFSET`` walks ``capacity``
+                # of its entries), so the trim adds no table scan.
                 evicted = conn.execute(
                     "DELETE FROM entries WHERE seq <= (SELECT seq FROM"
                     " entries ORDER BY seq DESC LIMIT 1 OFFSET ?)",
@@ -546,21 +502,19 @@ class PlanStore:
             self._rollback(conn)
             _warn(f"plan-store sync to {self.path!r} failed: {exc}")
             return "failed", str(exc), 0, 0, 0, 0
-        return "ok", "", written, stale, evicted, reconciled
+        return "ok", "", len(rows), stale, evicted, reconciled
 
     @staticmethod
-    def _upsert(
-        conn: sqlite3.Connection, row: Row, epoch: int, seq: int
-    ) -> None:
+    def _upsert(conn: sqlite3.Connection, row: Row, seq: int) -> None:
         key_repr, recipe_repr, checksum, structure, cost = row
         conn.execute(
-            "INSERT INTO entries (key, recipe, checksum, epoch, structure,"
-            " cost, seq) VALUES (?, ?, ?, ?, ?, ?, ?)"
+            "INSERT INTO entries (key, recipe, checksum, structure, cost,"
+            " seq) VALUES (?, ?, ?, ?, ?, ?)"
             " ON CONFLICT(key) DO UPDATE SET recipe = excluded.recipe,"
-            " checksum = excluded.checksum, epoch = excluded.epoch,"
+            " checksum = excluded.checksum,"
             " structure = excluded.structure, cost = excluded.cost,"
             " seq = excluded.seq",
-            (key_repr, recipe_repr, checksum, epoch, structure, cost, seq),
+            (key_repr, recipe_repr, checksum, structure, cost, seq),
         )
 
     @staticmethod
@@ -572,16 +526,15 @@ class PlanStore:
 
     # -- reading ----------------------------------------------------------
 
-    def _fresh_rows(
-        self, conn: sqlite3.Connection, limit: int = -1
-    ) -> list[Row]:
-        """The newest ``limit`` servable (current-epoch) rows, oldest
-        first; every one of them when ``limit`` is negative."""
-        epoch = self._meta_int(conn, META_EPOCH)
+    @staticmethod
+    def _fresh_rows(conn: sqlite3.Connection, limit: int = -1) -> list[Row]:
+        """The newest ``limit`` rows, oldest first; every row when
+        ``limit`` is negative.  (Every row is fresh: an epoch move
+        deletes them all.)"""
         rows = conn.execute(
             "SELECT key, recipe, checksum, structure, cost FROM entries"
-            " WHERE epoch = ? ORDER BY seq DESC LIMIT ?",
-            (epoch, limit),
+            " ORDER BY seq DESC LIMIT ?",
+            (limit,),
         ).fetchall()
         rows.reverse()
         return rows
@@ -589,16 +542,16 @@ class PlanStore:
     def load(self, capacity: Optional[int] = None) -> PlanCache:
         """Rebuild a warm :class:`PlanCache` from the store.
 
-        Only the newest ``capacity`` rows at the current store epoch
-        are read, and absorbed oldest-first (the same rules the JSON
-        loader applies), so a loader smaller than the writer parses no
-        row it would discard.  ``capacity`` defaults to the one the
-        store records.  Unparsable or foreign rows are skipped with a
-        warning, and so are rows whose checksum does not match their
-        key and recipe.  The returned cache is *attached*: its current
-        state counts as already persisted, so a restarted server's
-        first all-hits batch triggers no write.  Never raises — any
-        trouble degrades to a cold cache.
+        Only the newest ``capacity`` rows are read, and absorbed
+        oldest-first through :func:`~repro.cache.persist.parse_entry`
+        (the JSON loader's rules), so a loader smaller than the writer
+        parses no row it would discard.  ``capacity`` defaults to the
+        one the store records.  Unparsable or foreign rows are skipped
+        with a warning, and so are rows whose checksum does not match
+        their key and recipe.  The returned cache is *attached*: its
+        current state counts as already persisted, so a restarted
+        server's first all-hits batch triggers no write.  Never raises
+        — any trouble degrades to a cold cache.
         """
         with self._lock:
             capacity = capacity or self._capacity
@@ -628,15 +581,15 @@ class PlanStore:
             skipped = 0
             corrupt = 0
             for key_repr, recipe_repr, checksum, structure, cost in rows:
-                parsed = _parse_row(key_repr, recipe_repr)
-                if parsed is None:
-                    skipped += 1
-                    continue
-                if checksum != persist.entry_checksum(key_repr, recipe_repr):
+                verdict, key, recipe = persist.parse_entry(
+                    key_repr, recipe_repr, checksum
+                )
+                if verdict == "ok":
+                    items.append((key, recipe, structure, cost))
+                elif verdict == "corrupt":
                     corrupt += 1
-                    continue
-                key, recipe = parsed
-                items.append((key, recipe, structure, cost))
+                else:
+                    skipped += 1
             if corrupt:
                 self.checksum_failures += corrupt
                 persist.warn_checksum_failures(
@@ -656,21 +609,15 @@ class PlanStore:
             self._cache_epoch = cache.epoch
             return cache
 
-    def entry_count(self, fresh_only: bool = True) -> int:
-        """Number of rows (servable ones by default; 0 on trouble)."""
+    def entry_count(self) -> int:
+        """Number of rows (0 on trouble)."""
         with self._lock:
             if self._conn is None:
                 return 0
             try:
-                if fresh_only:
-                    row = self._conn.execute(
-                        "SELECT COUNT(*) FROM entries WHERE epoch = ?",
-                        (self._meta_int(self._conn, META_EPOCH),),
-                    ).fetchone()
-                else:
-                    row = self._conn.execute(
-                        "SELECT COUNT(*) FROM entries"
-                    ).fetchone()
+                row = self._conn.execute(
+                    "SELECT COUNT(*) FROM entries"
+                ).fetchone()
                 return int(row[0])
             except sqlite3.Error:
                 return 0
@@ -678,22 +625,21 @@ class PlanStore:
     # -- JSON interchange --------------------------------------------------
 
     def export_document(self) -> dict:
-        """Snapshot the servable rows as a :mod:`repro.cache.persist`
-        JSON document (the interchange format).
+        """Snapshot the rows as a :mod:`repro.cache.persist` JSON
+        document (the interchange format).
 
         The document round-trips: ``persist.restore_document`` /
         ``persist.save`` consumers see exactly what :meth:`load` would
-        absorb, stamped with the store's epoch and write sequence.
+        absorb, stamped with the store's write sequence.  The store
+        keeps no epoch, so the document and every entry carry epoch 0.
         """
         with self._lock:
             entries = []
-            epoch = 0
             seq = 0
             capacity = self._capacity or 0
             if self._conn is not None:
                 try:
                     conn = self._conn
-                    epoch = self._meta_int(conn, META_EPOCH)
                     seq = self._meta_int(conn, META_SEQ)
                     capacity = self._meta_int(
                         conn, META_CAPACITY, capacity
@@ -705,7 +651,7 @@ class PlanStore:
                             "key": key_repr,
                             "recipe": recipe_repr,
                             "checksum": checksum,
-                            "epoch": epoch,
+                            "epoch": 0,
                             "structure": structure,
                             "cost": cost,
                         })
@@ -718,7 +664,7 @@ class PlanStore:
                 "format": persist.FORMAT_NAME,
                 "format_version": persist.FORMAT_VERSION,
                 "key_version": KEY_VERSION,
-                "epoch": epoch,
+                "epoch": 0,
                 "mutations": seq,
                 "capacity": capacity,
                 "entries": entries,
@@ -729,10 +675,9 @@ class PlanStore:
 
         The migration path from a JSON file: entries are validated by
         the document loader's rules (bad documents warn and import
-        nothing, process-scoped keys are dropped), then upserted at the
-        *current* store epoch in one transaction, which trims the store
-        to its recorded capacity like every sync.  Returns the number of
-        rows written.
+        nothing, process-scoped keys are dropped), then upserted in one
+        transaction, which trims the store to its recorded capacity like
+        every sync.  Returns the number of rows written.
         """
         cache = persist.restore_document(document)
         # a document may spell inf as the literal 1e999
@@ -743,8 +688,8 @@ class PlanStore:
         with self._lock:
             if self._conn is None:
                 return 0
-            status, detail, written, stale, evicted, _ = (
-                self._write_rows(rows, capacity=None, bump_epoch=False)
+            status, detail, written, _, evicted, _ = (
+                self._write_rows(rows, capacity=None)
             )
             if status != "ok":
                 self.failed_syncs += 1
@@ -757,7 +702,6 @@ class PlanStore:
                     unpersistable, f"plan-store import into {self.path!r}"
                 )
             self.rows_written += written
-            self.rows_stale_dropped += stale
             self.rows_evicted += evicted
             return written
 
@@ -778,7 +722,7 @@ class PlanStore:
             "load_skipped": self.load_skipped,
             "checksum_failures": self.checksum_failures,
             "rows_unpersistable": self.rows_unpersistable,
-            "entries": self.entry_count(fresh_only=False),
+            "entries": self.entry_count(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -810,25 +754,3 @@ def _entry_rows(entries: Iterable[Entry]) -> tuple[list[Row], int]:
         rows.append((*serialized, structure, cost))
     return rows, unpersistable
 
-
-def _parse_row(
-    key_repr: str, recipe_repr: str
-) -> "Optional[tuple[Any, Any]]":
-    """``repr`` → value for one row; ``None`` when unusable.
-
-    The same acceptance rules as the JSON loader: ``ast.literal_eval``
-    only (never pickle), the key must be a non-empty tuple opening with
-    the current :data:`KEY_VERSION`, and process-scoped keys from a
-    foreign lifetime are dropped.
-    """
-    if is_process_scoped(key_repr):
-        return None
-    try:
-        key = ast.literal_eval(key_repr)
-        recipe = ast.literal_eval(recipe_repr)
-    except (TypeError, ValueError, SyntaxError, MemoryError,
-            RecursionError):
-        return None
-    if not isinstance(key, tuple) or not key or key[0] != KEY_VERSION:
-        return None
-    return key, recipe

@@ -11,11 +11,11 @@ Two tables:
     Carries the same compatibility header the JSON document format
     uses — ``format`` marker, store layout version, the
     :data:`~repro.cache.keys.KEY_VERSION` every entry key was built
-    under — plus the store's statistics ``epoch``, the monotone write
-    sequence counter ``seq``, and the last attached cache's LRU
-    ``capacity`` (the number of rows the store retains).  A mismatch
-    on any compatibility field degrades to a cold store (the file is
-    rebuilt), mirroring the persistence layer's whole-file rejection.
+    under — plus the monotone write sequence counter ``seq`` and the
+    last attached cache's LRU ``capacity`` (the number of rows the
+    store retains).  A mismatch on any compatibility field degrades to
+    a cold store (the file is rebuilt), mirroring the persistence
+    layer's whole-file rejection.
 
 ``entries``
     One row per cached plan, keyed by the ``repr`` of the cache key
@@ -23,13 +23,13 @@ Two tables:
     document — never pickle).  ``checksum`` is
     :func:`~repro.cache.persist.entry_checksum` of the key and recipe
     text, verified at load (a NULL or mismatching value drops the
-    row).  ``epoch`` stamps the store epoch the
-    entry was fresh under; rows whose epoch is not the current meta
-    epoch are stale and skipped on load.  ``seq`` is the row's write
-    sequence: load order, and the order in which every write
-    transaction trims the store to the newest ``capacity`` rows.
+    row).  ``seq`` is the row's write sequence: load order, and the
+    order in which every write transaction trims the store to the
+    newest ``capacity`` rows.  Rows carry no epoch: every row is fresh
+    at the attached cache's epoch, because a sync after that epoch
+    moved starts by deleting every row.
 
-The store appends/upserts per mutation — O(delta) rows per autosave —
+The store upserts per mutation — O(delta) rows written per autosave —
 which is why the layout is row-per-entry rather than one JSON blob:
 the blob would re-serialize the world on every save, the exact wrong
 shape the store replaces.
@@ -45,8 +45,9 @@ STORE_FORMAT_NAME = "repro-plan-store"
 #: bump when the *store* layout changes incompatibly (independent of
 #: KEY_VERSION, which tracks key/recipe semantics, and of the JSON
 #: document's FORMAT_VERSION).  2: the ``checksum`` column; 3: the
-#: ``size``, ``created_at`` and ``expires_at`` columns are gone
-STORE_SCHEMA_VERSION = 3
+#: ``size``, ``created_at`` and ``expires_at`` columns are gone; 4: the
+#: ``epoch`` column and meta row are gone
+STORE_SCHEMA_VERSION = 4
 
 #: ``meta`` keys making up the compatibility header; a missing or
 #: mismatched value rejects the whole file (cold rebuild + warning)
@@ -55,7 +56,6 @@ META_SCHEMA_VERSION = "schema_version"
 META_KEY_VERSION = "key_version"
 
 #: ``meta`` keys for mutable store state
-META_EPOCH = "epoch"
 META_SEQ = "seq"
 META_CAPACITY = "capacity"
 
@@ -72,7 +72,6 @@ CREATE_STATEMENTS: "tuple[str, ...]" = (
         key        TEXT PRIMARY KEY,
         recipe     TEXT NOT NULL,
         checksum   TEXT,
-        epoch      INTEGER NOT NULL,
         structure  TEXT,
         cost       REAL,
         seq        INTEGER NOT NULL

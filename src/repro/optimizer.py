@@ -960,9 +960,9 @@ class Optimizer:
         """Persist the plan cache now; return the entry count written.
 
         ``path`` defaults to ``OptimizerConfig.cache_path``, in which
-        case the write goes through the attached plan store (only the
-        delta since the last save is written, and rows the cache
-        dropped are reconciled away).  An ad-hoc ``path`` is a one-shot
+        case the attached plan store is rewritten from the cache (a
+        force sync: every fresh member in LRU order, and no row the
+        cache dropped, at O(cache) cost).  An ad-hoc ``path`` is a one-shot
         full export: a plan store for ``.sqlite``/``.sqlite3``/``.db``
         paths, the JSON interchange document otherwise.  Batches
         already autosave (``cache_autosave``); call this for explicit
@@ -992,7 +992,9 @@ class Optimizer:
         no disk I/O.  A dirty cache persists only its delta: the store
         consumes one atomic :meth:`~repro.cache.plan_cache.PlanCache.
         sync_since` call, so a batch that stored k new entries writes
-        O(k) rows, never O(cache size).
+        O(k) rows.  The save itself is not O(k): ``sync_since`` scans
+        every cache entry under the cache lock to find the delta, and
+        the store's capacity trim walks ``capacity`` index entries.
         """
         if (
             cache is not None

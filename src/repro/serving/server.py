@@ -301,8 +301,7 @@ class PlanServer:
         if tasks:
             await asyncio.wait(tasks, timeout=2.0)
         if self._store is not None:
-            # release the store's connection (and stop its background
-            # compactor, when one is running) after the final save
+            # release the store's connection after the final save
             self._store.close()
         self._stop_event.set()
         return {"ok": True, "drained": drained, "saved": saved}
@@ -313,10 +312,13 @@ class PlanServer:
         Delegates to the plan store, which skips the write when nothing
         changed since the last save (its
         :meth:`~repro.cache.plan_cache.PlanCache.sync_since` cursor)
-        and otherwise upserts only the delta —
-        O(new entries) rows even when the cache holds thousands.
-        ``force`` (the shutdown save) writes even a clean cache and
-        lets the store reconcile dropped entries.
+        and otherwise upserts only the delta: O(new entries) rows even
+        when the cache holds thousands, though ``sync_since`` still
+        scans every cache entry to find them and the capacity trim
+        walks ``capacity`` index entries.  ``force`` (the shutdown
+        save) rewrites the store from the cache — every fresh member
+        in LRU order, O(cache) — so it also drops entries the cache
+        dropped.
 
         The sync is a real disk transaction (plus the capacity trim),
         so it runs in a worker thread, and without the

@@ -122,15 +122,15 @@ class TestAutosaveChangeDetection:
         optimizer = Optimizer(OptimizerConfig(cache="on", cache_path=path))
         optimizer.optimize_many([chain_spec()])
         store = optimizer._store
-        assert store.export_document()["epoch"] == 0
         optimizer.plan_cache.bump_epoch()
         # the entry count did not change, only the mutation counter —
         # the next batch (which re-derives the now-stale entry) must
-        # notice and write the new epoch, not skip as "unchanged"
+        # notice the new epoch, not skip as "unchanged": the stale row
+        # goes and the re-derivation is written in its place
         optimizer.optimize_many([chain_spec()])
         assert store.syncs == 2
-        assert store.export_document()["epoch"] == 1
-        # the loader rebases: only the fresh re-derivation survives
+        assert store.rows_stale_dropped == 1
+        # only the fresh re-derivation survives
         with PlanStore(path) as reopened:
             assert len(reopened.load()) == 1
 

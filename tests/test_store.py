@@ -157,8 +157,8 @@ class TestIncrementalWrites:
                 (999, (0, 1)),
             )
             store.sync_from(cache)
-            # 1 entry row + 2 meta rows (seq, capacity) + epoch row;
-            # far below the 40 a full rewrite would touch
+            # 1 entry row + 2 meta rows (seq, capacity); far below
+            # the 40 a full rewrite would touch
             assert conn.total_changes - before <= 6
 
     def test_clean_cache_opens_no_transaction(self, tmp_path):
@@ -236,7 +236,7 @@ class TestRetention:
                     (i, (0, 1)),
                 )
                 store.sync_from(cache)
-            assert store.entry_count(fresh_only=False) == 8
+            assert store.entry_count() == 8
             assert store.rows_written == 100
             assert store.rows_evicted == 92
             loaded = store.load()
@@ -250,23 +250,21 @@ class TestRetention:
             store.sync_from(make_cache(entries=2, capacity=4))
             document = persist.dump_document(make_cache(entries=10, capacity=16))
             assert store.import_document(document) == 10
-            assert store.entry_count(fresh_only=False) == 4
+            assert store.entry_count() == 4
 
     def test_smaller_loader_parses_only_the_rows_it_keeps(
         self, tmp_path, monkeypatch
     ):
-        from repro.cache import store as store_module
-
         parsed = []
-        real = store_module._parse_row
+        real = persist.parse_entry
 
-        def counting(key_repr, recipe_repr):
+        def counting(key_repr, recipe_repr, checksum):
             parsed.append(key_repr)
-            return real(key_repr, recipe_repr)
+            return real(key_repr, recipe_repr, checksum)
 
         with PlanStore(store_path(tmp_path)) as store:
             store.sync_from(make_cache(entries=6, capacity=16))
-            monkeypatch.setattr(store_module, "_parse_row", counting)
+            monkeypatch.setattr(persist, "parse_entry", counting)
             small = store.load(capacity=2)
         assert len(small) == 2 and len(parsed) == 2
         assert all("digest-4" in key or "digest-5" in key for key in parsed)
@@ -283,7 +281,7 @@ class TestRetention:
                     (i, (0, 1)),
                 )
                 store.sync_from(cache)
-            assert store.entry_count(fresh_only=False) == min(entries, 4)
+            assert store.entry_count() == min(entries, 4)
             assert store.rows_evicted == max(0, entries - 4)
             loaded = store.load()
         assert [entry.recipe[0] for _, entry in loaded.snapshot_entries()] == (
@@ -305,7 +303,7 @@ class TestRetention:
             cache.store(keys[0], (10, (0, 1)))  # refresh "a"
             cache.store(keys[2], (2, (0, 1)))  # the cache evicts "b"
             store.sync_from(cache)
-            assert store.entry_count(fresh_only=False) == 2
+            assert store.entry_count() == 2
             assert store.rows_evicted == 1
             loaded = store.load()
         assert [
@@ -322,13 +320,13 @@ class TestRetention:
             store.sync_from(make_cache(entries=8, capacity=8))
         with PlanStore(path) as store:
             small = store.load(capacity=3)
-            assert store.entry_count(fresh_only=False) == 8  # loads write nothing
+            assert store.entry_count() == 8  # loads write nothing
             small.store(
                 (KEY_VERSION, "new", ("auto", "hyperedges", ("m", "q"), 14)),
                 (99, (0, 1)),
             )
             assert store.sync_from(small) == 1
-            assert store.entry_count(fresh_only=False) == 3
+            assert store.entry_count() == 3
             assert store.rows_evicted == 6
         with PlanStore(path) as store:
             reloaded = store.load()  # the recorded capacity is now 3
@@ -350,7 +348,7 @@ class TestRetention:
             assert store.sync_from(cache) == 1
             assert store.rows_stale_dropped == 4
             assert store.rows_evicted == 0
-            assert store.entry_count(fresh_only=False) == 1
+            assert store.entry_count() == 1
 
     def test_counters_report_trims_without_the_retired_knobs(self, tmp_path):
         with PlanStore(store_path(tmp_path)) as store:
@@ -426,7 +424,7 @@ class TestForceReconciliation:
             store.sync_from(cache)
             cache.clear()
             store.sync_from(cache, force=True)
-            assert store.entry_count(fresh_only=False) == 0
+            assert store.entry_count() == 0
             assert store.rows_reconciled == 3
             assert len(store.load()) == 0
 
@@ -451,7 +449,7 @@ class TestForceReconciliation:
                 (KEY_VERSION, "evictor", ("auto", "hyperedges", ("m", "q"), 14)),
                 (99, (0, 1)),
             )
-            assert store.sync_from(cache, force=True) == 1
+            assert store.sync_from(cache, force=True) == 4  # every member
             assert store.entry_count() == 4
             assert store.rows_reconciled == 1
             gone, status = store.load(capacity=16).probe(evicted)
@@ -460,7 +458,7 @@ class TestForceReconciliation:
     def test_force_sync_writes_back_a_member_the_trim_took(self, tmp_path):
         """A dropped entry's row outlives it and can push a member out
         of the newest ``capacity`` rows; the force sync still mirrors
-        the cache, in the order the rows were written."""
+        the cache, in its LRU order."""
         cache = PlanCache(2)
         keys = [
             (KEY_VERSION, name, ("auto", "hyperedges", ("m", "q"), 14))
@@ -475,26 +473,61 @@ class TestForceReconciliation:
             cache.store(keys[2], (2, (0, 1)), structure="keep")
             store.sync_from(cache)
             assert store.rows_evicted == 1  # the trim took "a"
-            assert store.sync_from(cache, force=True) == 1
+            assert store.sync_from(cache, force=True) == 2  # "a" and "c"
             assert store.rows_reconciled == 1  # and "b" went
             loaded = store.load()
         assert [key for key, _ in loaded.snapshot_entries()] == [
             keys[0], keys[2]
         ]
 
-    def test_force_sync_of_a_clean_cache_writes_no_rows(self, tmp_path):
-        """``force`` checkpoints membership; it does not rewrite rows
-        the store already holds."""
+    def test_force_sync_of_a_clean_cache_rewrites_the_same_rows(
+        self, tmp_path
+    ):
+        """``force`` rewrites every member even when nothing changed:
+        the same rows come back, and none is counted as reconciled."""
         cache = make_cache(entries=2)
-        with PlanStore(store_path(tmp_path)) as store:
+        path = store_path(tmp_path)
+
+        def reload():
+            with PlanStore(path) as reader:
+                return [
+                    (key, entry.recipe, entry.structure, entry.cost)
+                    for key, entry in reader.load().snapshot_entries()
+                ]
+
+        with PlanStore(path) as store:
             assert store.sync_from(cache) == 2
+            before = reload()
             assert store.sync_from(cache) == 0
             assert store.skipped_syncs == 1
-            assert store.sync_from(cache, force=True) == 0
-            assert store.syncs == 2  # the forced one ran, writing nothing
-            assert store.rows_written == 2
+            assert store.sync_from(cache, force=True) == 2
+            assert store.syncs == 2
+            assert store.rows_written == 4
             assert store.rows_reconciled == 0
             assert store.entry_count() == 2
+        assert reload() == before
+
+    def test_force_sync_restores_the_cache_lru_order(self, tmp_path):
+        """A hit moves a member to the LRU end without a write; the
+        force sync rewrites in LRU order, so the restarted cache evicts
+        its coldest entry first, not its hottest."""
+        cache = PlanCache(3)
+        keys = [
+            (KEY_VERSION, name, ("auto", "hyperedges", ("m", "q"), 14))
+            for name in ("a", "b", "c")
+        ]
+        path = store_path(tmp_path)
+        with PlanStore(path) as store:
+            for i, key in enumerate(keys):
+                cache.store(key, (i, (0, 1)))
+            store.sync_from(cache)
+            assert cache.probe(keys[0])[1] == "hit"
+            store.sync_from(cache, force=True)
+        with PlanStore(path) as store:
+            loaded = store.load()
+        assert [key for key, _ in loaded.snapshot_entries()] == [
+            keys[1], keys[2], keys[0]
+        ]
 
     def test_daemon_shutdown_save_reconciles(self, tmp_path):
         """The daemon's final save mirrors the cache membership."""
@@ -674,14 +707,14 @@ class TestInterchange:
         with PlanStore(store_path(tmp_path)) as store:
             with pytest.warns(CachePersistenceWarning):
                 assert store.import_document({"format": "nope"}) == 0
-            assert store.entry_count(fresh_only=False) == 0
+            assert store.entry_count() == 0
 
     def test_import_export_is_idempotent(self, tmp_path):
         document = persist.dump_document(make_cache(entries=3))
         with PlanStore(store_path(tmp_path)) as store:
             store.import_document(document)
             store.import_document(document)  # upsert, not duplicate
-            assert store.entry_count(fresh_only=False) == 3
+            assert store.entry_count() == 3
             out = store.export_document()
         assert {e["key"] for e in out["entries"]} == {
             e["key"] for e in document["entries"]
@@ -803,7 +836,7 @@ class TestOptimizerWiring:
         shapes = [generators.chain(n, seed=1) for n in range(3, 9)]
         for shape in shapes:
             optimizer.optimize_many(repeated_workload(shape, 2, seed=2))
-        assert optimizer._store.entry_count(fresh_only=False) == 3
+        assert optimizer._store.entry_count() == 3
         restarted = Optimizer(config)
         warm = restarted.optimize_many(
             repeated_workload(shapes[-1], 2, seed=2)

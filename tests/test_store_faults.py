@@ -78,8 +78,8 @@ store.sync_from(cache)
 conn = sqlite3.connect(path, isolation_level=None)
 conn.execute("BEGIN IMMEDIATE")
 conn.execute(
-    "INSERT INTO entries (key, recipe, epoch, structure, cost, seq)"
-    " VALUES (?, ?, 1, NULL, NULL, 999)",
+    "INSERT INTO entries (key, recipe, structure, cost, seq)"
+    " VALUES (?, ?, NULL, NULL, 999)",
     (repr((KEY_VERSION, "torn", ())), repr((9, (0, 1)))),
 )
 print("READY", flush=True)
@@ -339,7 +339,7 @@ class TestDiskPressure:
                 )
                 store.sync_from(cache)
             assert store.failed_syncs == 0
-            assert store.entry_count(fresh_only=False) == 2
+            assert store.entry_count() == 2
             assert len(store.load(capacity=64)) == 2
 
     def test_optimizer_survives_full_disk_autosave(self, tmp_path):

@@ -7,11 +7,11 @@ Two families of properties:
   (and the reverse migration ``dump_document`` ->
   ``import_document`` -> ``load``) with identical keys, recipes,
   structures, costs, and epoch bookkeeping;
-* **retention exactness** — under any sequence of stores, routine
-  and force syncs, epoch bumps and reopens, the store never holds
-  more than its capacity of rows, and a load serves exactly the newest
-  ``capacity`` keys by last write at the current epoch — no row lost
-  to an off-by-one, none retained past its bound.
+* **retention exactness** — under any sequence of stores, probes,
+  routine and force syncs, epoch bumps and reopens, the store never
+  holds more than its capacity of rows, and a load serves exactly the
+  newest ``capacity`` rows of the reference model, in its order — no
+  row lost to an off-by-one, none retained past its bound.
 
 Stores live in per-example temporary directories created inside the
 test body (a function-scoped ``tmp_path`` would leak state across
@@ -140,7 +140,8 @@ def test_import_document_round_trip(entries):
 
 OPERATIONS = st.lists(
     st.one_of(
-        st.tuples(st.just("store"), st.integers(min_value=0, max_value=9)),
+        st.tuples(st.sampled_from(("store", "probe")),
+                  st.integers(min_value=0, max_value=9)),
         st.tuples(st.sampled_from(("sync", "force", "bump", "reopen",
                                    "reload")), st.just(0)),
     ),
@@ -153,16 +154,28 @@ OPERATIONS = st.lists(
 def test_store_holds_at_most_capacity_rows_and_loads_the_newest(
     capacity, operations
 ):
-    """Stores, routine and force syncs, epoch bumps and reopens: the
-    store never holds more than ``capacity`` rows, and a load serves
-    the newest ``capacity`` keys by last write at the current epoch,
-    as of the last sync."""
-    # reference: key -> recipe for every write since the cache's last
-    # epoch bump, in last-write order
-    fresh: "dict[str, int]" = {}
-    synced: "list[tuple[str, int]]" = []
+    """Stores, probes, routine and force syncs, epoch bumps and
+    reopens: the store never holds more than ``capacity`` rows, and a
+    load serves exactly the reference rows.  A routine sync drops every
+    row if the cache's epoch moved since the handle's last sync, then
+    appends the fresh keys written since that sync (every member after
+    a reopen) in the cache's LRU order; a force sync replaces the rows
+    with the cache's fresh members in LRU order; both keep the newest
+    ``capacity``."""
+    # reference: the store's rows (key -> recipe), oldest first
+    rows: "dict[str, int]" = {}
+    written: "set[str]" = set()  # keys stored since the handle's last sync
+    synced_epoch = 0  # the cache epoch the handle last synced
     cache = PlanCache(capacity)
     writes = 0
+
+    def members() -> "list[tuple[str, int]]":
+        return [
+            (key[1], entry.recipe)
+            for key, entry in cache.snapshot_entries()
+            if entry.epoch == cache.epoch
+        ]
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "plans.sqlite")
         store = PlanStore(path, capacity=capacity)
@@ -170,31 +183,45 @@ def test_store_holds_at_most_capacity_rows_and_loads_the_newest(
             for op, arg in operations:
                 if op == "store":
                     writes += 1
-                    suffix = f"k{arg}"
-                    cache.store(_key(suffix), writes)
-                    fresh.pop(suffix, None)
-                    fresh[suffix] = writes
-                elif op in ("sync", "force"):
-                    store.sync_from(cache, force=op == "force")
-                    synced = list(fresh.items())[-capacity:]
+                    cache.store(_key(f"k{arg}"), writes)
+                    written.add(f"k{arg}")
+                elif op == "probe":  # a hit moves the key, writes nothing
+                    held = [key for key, _ in cache.snapshot_entries()]
+                    if held:
+                        cache.probe(held[arg % len(held)])
+                elif op == "sync":
+                    store.sync_from(cache)
+                    if cache.epoch != synced_epoch:
+                        rows = {}
+                    for suffix, recipe in members():
+                        if suffix in written:
+                            rows.pop(suffix, None)
+                            rows[suffix] = recipe
+                    rows = dict(list(rows.items())[-capacity:])
+                    written, synced_epoch = set(), cache.epoch
+                elif op == "force":
+                    store.sync_from(cache, force=True)
+                    rows = dict(members())
+                    written, synced_epoch = set(), cache.epoch
                 elif op == "bump":
                     cache.bump_epoch()
-                    fresh.clear()
-                elif op == "reopen":
+                elif op == "reopen":  # a new handle knows no cursor
                     store.close()
                     store = PlanStore(path, capacity=capacity)
+                    written = {key[1] for key, _ in cache.snapshot_entries()}
+                    synced_epoch = 0
                 else:  # reload: a restarted process serves the store
                     store.close()
                     store = PlanStore(path, capacity=capacity)
                     cache = store.load()
-                    fresh = dict(synced)
-                assert store.entry_count(fresh_only=False) <= capacity
+                    written, synced_epoch = set(), 0
+                assert store.entry_count() <= capacity
                 with PlanStore(path) as reader:
                     loaded = reader.load(capacity=capacity)
                 assert [
                     (key, entry.recipe)
                     for key, entry in loaded.snapshot_entries()
-                ] == [(_key(suffix), recipe) for suffix, recipe in synced]
+                ] == [(_key(suffix), recipe) for suffix, recipe in rows.items()]
         finally:
             store.close()
 
@@ -226,7 +253,7 @@ def test_import_keeps_the_newest_recorded_capacity_rows(
         with PlanStore(path) as store:
             store.sync_from(cache)
             assert store.import_document(document) == len(imported)
-            assert store.entry_count(fresh_only=False) == min(
+            assert store.entry_count() == min(
                 len(order), capacity
             )
             loaded = store.load()
