@@ -17,6 +17,12 @@ from dataclasses import dataclass, field
 class SearchStats:
     """Counters shared by all join-ordering algorithms.
 
+    For greedy (GOO), ``pairs_considered``, ``ccp_emitted`` and
+    ``cost_calls`` count each connected fragment pair once, when it is
+    costed (two plans per pair with an inner-join builder): on
+    ``chain(20)`` they read 49/49/98, where re-costing every pair each
+    round read 1330/190/380.
+
     Attributes:
         ccp_emitted: number of csg-cmp-pairs handed to plan
             construction (``EmitCsgCmp`` calls for DPhyp).  For DPhyp

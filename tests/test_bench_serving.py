@@ -61,7 +61,9 @@ class TestPipelineWorkload:
 
 class TestPipelinePhase:
     def test_tiny_run_produces_a_valid_section(self):
-        phase = run_pipeline_phase(depth=4, groups=2, warm_entries=5)
+        phase = run_pipeline_phase(
+            depth=4, groups=2, warm_entries=5, pairs=2
+        )
         assert phase["n_requests"] == 16
         assert phase["depth"] == 4
         assert phase["serial_qps"] > 0
@@ -74,6 +76,17 @@ class TestPipelinePhase:
         assert phase["unique_keys"] == 8
         assert phase["serial_pool_tasks"] == 8
         assert phase["pipelined_pool_tasks"] == 8
+        # alternating pairs, gated on the median pair speedup
+        assert [row["first"] for row in phase["pairs"]] == [
+            "serial", "pipelined",
+        ]
+        speedups = sorted(
+            row["serial_wall_s"] / row["pipelined_wall_s"]
+            for row in phase["pairs"]
+        )
+        assert phase["speedup"] == pytest.approx(
+            sum(speedups) / 2, abs=1e-3
+        )
 
 
 class TestServingPhase:
@@ -92,7 +105,7 @@ class TestServingPhase:
             "python": "3",
             "serving": serving,
             "pipeline": run_pipeline_phase(
-                depth=2, groups=1, warm_entries=5
+                depth=2, groups=1, warm_entries=5, pairs=1
             ),
         }
         validate_result(document)

@@ -21,6 +21,8 @@ no tree, so there the wire costs are compared, and so is the canonical
 recipe each daemon stored against the one an in-process optimizer
 stores for the same key.  The daemons live for the whole module, so
 later examples also run against caches that earlier examples filled.
+Besides the drawn batches (3–9 relations, all exact), an explicit
+chain-16 / cycle-18 batch covers the greedy route above the cut.
 
 ``cache="off"`` is compared on cost only: an uncached run enumerates
 the caller's own labeling, and where equal-cost trees tie, the one the
@@ -136,8 +138,20 @@ def fleet():
         yield [first, second]
 
 
+#: above ``registry.EXACT_MAX_RELATIONS``, so ``auto`` routes to greedy
+CHAIN_16 = generators.chain(16, seed=3)
+CYCLE_18 = generators.cycle(18, seed=4)
+GREEDY_BATCH = [
+    CHAIN_16,
+    relabeled(CHAIN_16, seed=1),
+    CYCLE_18,
+    relabeled(CYCLE_18, seed=2),
+]
+
+
 @settings(**COMMON)
 @given(batch=batches())
+@example(batch=GREEDY_BATCH)
 def test_plan_is_identical_across_executors_cache_and_restart(batch):
     serial = Optimizer(OptimizerConfig(cache="on"))
     expected = plans(serial.optimize_many(batch))
@@ -189,6 +203,7 @@ STAR_8 = generators.star(8, seed=5)
 @settings(**COMMON)
 @given(batch=batches())
 @example(batch=[STAR_8] + [relabeled(STAR_8, seed=s) for s in range(1, 6)])
+@example(batch=GREEDY_BATCH)
 def test_plan_is_identical_through_the_daemon_and_shards(
     batch, daemon, fleet
 ):
