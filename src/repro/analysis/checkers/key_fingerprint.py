@@ -11,8 +11,9 @@ pre-edit entries.
 This checker pins the key-building surface by **AST fingerprint**: a
 SHA-256 over the docstring-stripped ``ast.dump`` of the key-defining
 functions/classes in ``repro/cache/keys.py``,
-``repro/core/identity.py`` and the recipe format in
-``repro/cache/recipe.py``.  The fingerprint for the current
+``repro/core/identity.py``, the recipe format in
+``repro/cache/recipe.py`` and the canonical labeling in
+``repro/core/canonical.py``.  The fingerprint for the current
 ``KEY_VERSION`` is committed in
 :mod:`repro.analysis.key_fingerprints`; the check fails when
 
@@ -59,6 +60,15 @@ FINGERPRINTED_DEFINITIONS: "dict[str, tuple[str, ...]]" = {
         "plan_recipe",
         "canonical_problem",
         "replay_recipe",
+    ),
+    # the canonical labeling decides every digest and permutation
+    "core/canonical.py": (
+        "CanonicalForm",
+        "_token_ranks",
+        "_refine",
+        "_encode",
+        "_search",
+        "canonical_form",
     ),
 }
 

@@ -50,7 +50,9 @@ from ..core.hypergraph import Hypergraph, payload_token
 #: the estimator's labeling-invariant (value) order
 #: 3: recipes are enumerated on the canonical problem, so an entry's
 #: tree no longer depends on which labeling created it
-KEY_VERSION = 3
+#: 4: the canonical digest hashes packed bytes instead of a repr'd
+#: tuple; the same queries share a key, under a new digest
+KEY_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,14 @@ input's own index order.  The fallback still dedupes repeats of the
 same graph object/layout — only cross-labeling sharing is lost — and
 the ``canonical`` flag records which case occurred.
 
+The **digest** is a SHA-256 over bytes: the lengths of the node and
+edge token tables, both tables, one byte for the ``canonical`` flag,
+then the winning encoding.  An encoding packs the header, the node
+token ranks in canonical order and the sorted simple-edge triples as
+big-endian int64, followed by the ``repr`` of the sorted complex-edge
+parts; the search compares encodings as bytes.  Every cache probe
+pays for this, so no ``repr`` of the whole payload is built.
+
 Nothing in this module mutates the graph; it operates on the plain
 ``(n_nodes, [(left, right, flex)], colors)`` description handed over by
 :meth:`repro.core.hypergraph.Hypergraph.canonical_form`.
@@ -45,18 +53,20 @@ the same graph object.
 Pickle-safety: :class:`CanonicalForm` is a frozen dataclass of a hex
 string, an int tuple, and a bool, so forms pickle cleanly across
 process boundaries.  More importantly the *digest is deterministic
-across processes and interpreter restarts* (SHA-256 over a
-canonical encoding; no ``hash()`` randomization anywhere), which is
-what makes plan-cache keys meaningful in a file written by one process
-and read by another.  The plan store (:mod:`repro.cache.store`), the
-JSON interchange document (:mod:`repro.cache.persist`) load-bear on
-this guarantee.
+across processes, interpreter restarts and byte orders* (SHA-256 over
+a canonical encoding with an explicit byte order; no ``hash()``
+randomization anywhere), which is what makes plan-cache keys
+meaningful in a file written by one process and read by another.
+The plan store (:mod:`repro.cache.store`), the JSON interchange
+document (:mod:`repro.cache.persist`) load-bear on this guarantee.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Optional, Sequence
 
 from . import bitset
@@ -101,31 +111,32 @@ class CanonicalForm:
         return tuple(inverse)
 
 
-def _token_ranks(tokens: Sequence[Any]) -> tuple[list[int], tuple]:
+def _token_ranks(tokens: Sequence[Any]) -> tuple[list[int], bytes]:
     """Map arbitrary annotation tokens to dense, ordered ranks.
 
     Tokens only need a deterministic ``repr``; they are ordered by
     ``(type name, repr)`` so mixed types never hit a ``TypeError``
     during sorting, and the sorted table itself becomes part of the
-    encoding (so the token *values* are fingerprinted, not just their
-    ranks).  Returns ``(rank per token, table)``; each token's key is
-    built once.
+    digest (so the token *values* are fingerprinted, not just their
+    ranks).  Returns ``(rank per token, table bytes)``.
 
     All-``float`` tokens (the cache key's cardinalities and
     selectivities) take a fast path: with one type name, sorting the
-    distinct reprs sorts the ``("float", repr)`` keys, so the table is
-    built from them and no per-token tuple is made.  The table and the
-    ranks are identical to the general path's.
+    distinct reprs sorts the ``("float", repr)`` keys, so the ranks are
+    the general path's, and the table is ``b"f"`` plus the distinct
+    reprs joined by a space (a float repr holds no space).  The general
+    path's table is ``b"r"`` plus the repr of its sorted key table.
     """
     if set(map(type, tokens)) <= {float}:
         reprs = list(map(repr, tokens))
         distinct = sorted(set(reprs))
         rank_of_repr = {text: rank for rank, text in enumerate(distinct)}
-        table = tuple([("float", text) for text in distinct])
+        table = b"f" + " ".join(distinct).encode("ascii")
         return [rank_of_repr[text] for text in reprs], table
     keys = [(type(t).__name__, repr(t)) for t in tokens]
-    table = tuple(sorted(set(keys)))
-    rank_of = {key: rank for rank, key in enumerate(table)}
+    ordered = sorted(set(keys))
+    rank_of = {key: rank for rank, key in enumerate(ordered)}
+    table = b"r" + repr(tuple(ordered)).encode("utf-8")
     return [rank_of[key] for key in keys], table
 
 
@@ -195,12 +206,19 @@ def _encode(
     node_ranks: Sequence[int],
     edges: Sequence[tuple[NodeSet, NodeSet, NodeSet]],
     edge_ranks: Sequence[int],
-) -> tuple:
+) -> bytes:
     """Encoding of the graph under ``perm`` (original -> rank).
 
     Order-insensitive over the edge list and over each hyperedge's
     left/right side order; the annotation token ranks ride along so
     annotated isomorphism is what equality means.
+
+    The header ``(n, number of simple edges)``, the node ranks in
+    canonical order and the sorted simple-edge triples ``(a, b, edge
+    rank)`` are packed as big-endian int64: every value is a
+    non-negative int, so comparing the bytes compares the values, and
+    the digest does not depend on the machine's byte order.  The
+    sorted complex-edge parts follow as their ``repr``.
     """
 
     def mapped(s: NodeSet) -> tuple[int, ...]:
@@ -209,22 +227,29 @@ def _encode(
     inverse = [0] * n
     for node, rank in enumerate(perm):
         inverse[rank] = node
-    node_part = tuple(node_ranks[inverse[rank]] for rank in range(n))
-    parts: list[tuple] = []
+    simple: list[tuple[int, int, int]] = []
+    complex_parts: list[tuple] = []
     for position, (left, right, flex) in enumerate(edges):
         if not flex and left & (left - 1) == 0 and right & (right - 1) == 0:
-            # simple edge: the same tuple as the general branch below
             a = perm[left.bit_length() - 1]
             b = perm[right.bit_length() - 1]
-            sides = ((a,), (b,)) if a < b else ((b,), (a,))
-            parts.append((sides, (), edge_ranks[position]))
+            rank = edge_ranks[position]
+            simple.append((a, b, rank) if a < b else (b, a, rank))
         else:
-            parts.append((
+            complex_parts.append((
                 tuple(sorted((mapped(left), mapped(right)))),
                 mapped(flex),
                 edge_ranks[position],
             ))
-    return (n, node_part, tuple(sorted(parts)))
+    simple.sort()
+    words = [n, len(simple)]
+    words += [node_ranks[node] for node in inverse]
+    words += chain.from_iterable(simple)
+    encoding = struct.pack(f">{len(words)}q", *words)
+    if complex_parts:
+        complex_parts.sort()
+        encoding += repr(complex_parts).encode("ascii")
+    return encoding
 
 
 def _search(
@@ -234,7 +259,7 @@ def _search(
     edge_ranks: Sequence[int],
     node_ranks: Sequence[int],
     budget: list[int],
-) -> tuple[tuple, tuple[int, ...]]:
+) -> tuple[bytes, tuple[int, ...]]:
     """Individualization-refinement: minimal encoding + its permutation."""
     colors = _refine(n, colors, edges, edge_ranks)
     classes: dict[int, list[int]] = {}
@@ -246,7 +271,7 @@ def _search(
         perm = tuple(colors)
         return _encode(n, perm, node_ranks, edges, edge_ranks), perm
     target = min(ambiguous, key=lambda members: colors[members[0]])
-    best: Optional[tuple[tuple, tuple[int, ...]]] = None
+    best: Optional[tuple[bytes, tuple[int, ...]]] = None
     for v in target:
         budget[0] -= 1
         if budget[0] < 0:
@@ -308,8 +333,13 @@ def canonical_form(
         encoding = _encode(n_nodes, perm, node_ranks, edges, edge_ranks)
         canonical = False
 
-    payload = repr((canonical, node_table, edge_table, encoding))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(b"".join((
+        struct.pack(">qq", len(node_table), len(edge_table)),
+        node_table,
+        edge_table,
+        b"\x01" if canonical else b"\x00",
+        encoding,
+    ))).hexdigest()
     return CanonicalForm(
         digest=digest, permutation=tuple(perm), canonical=canonical
     )

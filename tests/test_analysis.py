@@ -207,6 +207,7 @@ class TestKeyFingerprint:
         shutil.copy(PACKAGE_ROOT / "cache" / "keys.py", root / "cache")
         shutil.copy(PACKAGE_ROOT / "cache" / "recipe.py", root / "cache")
         shutil.copy(PACKAGE_ROOT / "core" / "identity.py", root / "core")
+        shutil.copy(PACKAGE_ROOT / "core" / "canonical.py", root / "core")
         return root
 
     def check(self, root, recorded):
@@ -246,6 +247,23 @@ class TestKeyFingerprint:
                 "        plan.cost,\n        plan.cardinality,\n",
             )
         )
+        findings = self.check(root, {KEY_VERSION: digest})
+        assert len(findings) == 1
+        assert "bump KEY_VERSION" in findings[0].message
+
+    def test_edited_canonical_encoding_without_bump_fails(self, tmp_path):
+        root = self.make_tree(tmp_path)
+        digest, _ = compute_fingerprint(root)
+        canonical = root / "core" / "canonical.py"
+        source = canonical.read_text()
+        edited = source.replace(
+            "words = [n, len(simple)]", "words = [len(simple), n]"
+        )
+        assert edited != source
+        canonical.write_text(edited)
+        moved, problems = compute_fingerprint(root)
+        assert problems == []
+        assert moved != digest
         findings = self.check(root, {KEY_VERSION: digest})
         assert len(findings) == 1
         assert "bump KEY_VERSION" in findings[0].message
