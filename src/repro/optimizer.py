@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -42,6 +43,7 @@ from typing import (
     Callable,
     ClassVar,
     Iterable,
+    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -75,6 +77,7 @@ from .registry import (
     check_capabilities,
     get_algorithm,
     registration_fingerprint,
+    registration_tokens,
     restore_registrations,
     select_auto,
     snapshot_registrations,
@@ -590,6 +593,20 @@ DEFAULT_PIPELINE = PipelineStages()
 # -- configuration ----------------------------------------------------------
 
 
+def _check_workers(workers: Optional[int]) -> None:
+    """The one rule for a worker count: ``None`` (the default) or >= 1."""
+    if workers is not None and workers < 1:
+        raise ValueError("parallel_workers must be None or >= 1")
+
+
+def _default_process_workers() -> int:
+    """The CPUs this process may run on, the process pool's default size."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Reusable configuration for :class:`Optimizer`.
@@ -646,8 +663,10 @@ class OptimizerConfig:
             stay loadable.
         parallel_workers: default worker count for
             :meth:`Optimizer.optimize_many` (``None``/``1`` = serial
-            for the thread executor, all CPUs for the process
-            executor; results keep input order either way).
+            for the thread executor; for the process executor
+            ``None`` means the CPUs this process may run on, its
+            ``os.sched_getaffinity`` set where the OS has one, else
+            ``os.cpu_count()``; results keep input order either way).
         executor: default ``optimize_many`` backend — ``"thread"``
             (shared-memory, GIL-bound; fine for replay-dominated hot
             workloads) or ``"process"`` (a ``ProcessPoolExecutor``
@@ -724,8 +743,7 @@ class OptimizerConfig:
                 "PlanStore(store_path).import_document(document), where "
                 "document = json.load(open(json_path))"
             )
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be None or >= 1")
+        _check_workers(self.parallel_workers)
         if self.executor not in ("thread", "process"):
             raise ValueError("executor must be 'thread' or 'process'")
         if self.algorithm != "auto":
@@ -894,6 +912,12 @@ class Optimizer:
     (``OptimizerConfig.cache`` overrides both ways); a
     :class:`~repro.cache.plan_cache.PlanCache` can be shared across
     optimizers via the ``plan_cache`` constructor argument.
+
+    ``optimize_many(executor="process")`` keeps one worker pool per
+    optimizer: built on the first process batch with a miss, reused by
+    later batches, and shut down by :meth:`close`, by leaving a
+    ``with Optimizer(...) as opt:`` block, or when the optimizer is
+    garbage-collected.
     """
 
     def __init__(
@@ -913,6 +937,24 @@ class Optimizer:
         #: ``cache_path``, opened on first use; it tracks the cache's
         #: mutation cursor so clean batches skip all I/O
         self._store: Optional[PlanStore] = None
+        self._resident_pool = _ResidentPool()
+        # the finalizer holds the pool, never the optimizer, so dropping
+        # the last reference to the optimizer shuts its workers down
+        weakref.finalize(self, self._resident_pool.close)
+
+    def close(self) -> None:
+        """Shut down the resident worker pool and wait for its workers.
+
+        Idempotent; a later process batch builds a fresh pool.  The
+        plan cache and its store stay usable.
+        """
+        self._resident_pool.close()
+
+    def __enter__(self) -> "Optimizer":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _open_store(self) -> PlanStore:
         """The ``cache_path`` store; callers hold ``_plan_cache_lock``.
@@ -1046,12 +1088,13 @@ class Optimizer:
 
         Args:
             queries: any mix of supported query representations.
-            parallel: worker count (default
+            parallel: worker count, ``None`` or >= 1 (default
                 ``OptimizerConfig.parallel_workers``).  For the thread
                 executor ``None``/``1`` means serial; the process
-                executor defaults to all CPUs.  Result order is input
-                order regardless of completion order, so serial and
-                parallel runs are interchangeable.
+                executor defaults to the CPUs this process may run on
+                (see ``OptimizerConfig.parallel_workers``).  Result
+                order is input order regardless of completion order,
+                so serial and parallel runs are interchangeable.
             cache: per-call override of the config's cache policy.
             executor: ``"thread"`` (default) or ``"process"``; the
                 per-call override of ``OptimizerConfig.executor``.  The
@@ -1059,7 +1102,8 @@ class Optimizer:
                 to stateless worker processes (no cache of their
                 own), plans come back as compact recipes, and the
                 parent replays them so the shared cache is populated
-                once.  Results are identical to the
+                once.  The pool is resident: later batches reuse it
+                (see :meth:`close`).  Results are identical to the
                 thread backend's; operator-tree queries are optimized
                 in the parent (their compiled plans are not
                 recipe-portable).
@@ -1076,6 +1120,7 @@ class Optimizer:
             parallel if parallel is not None
             else self.config.parallel_workers
         )
+        _check_workers(workers)
         mode = executor if executor is not None else self.config.executor
         if mode not in ("thread", "process"):
             raise ValueError("executor must be 'thread' or 'process'")
@@ -1110,11 +1155,12 @@ class Optimizer:
         """The ``executor="process"`` backend of :meth:`optimize_many`.
 
         Queries fresh in the shared cache are served in the parent (a
-        fully warm batch spawns no processes).  The rest are grouped by
-        cache key, and each group ships **one** :func:`_problem` task to
-        a stateless worker; uncacheable queries (every query when the
-        cache is off) are groups of one.  The parent absorbs the batch
-        in input order, each query with its group's recipe, so the
+        fully warm batch never touches the pool).  The rest are grouped
+        by cache key, and each group ships **one** :func:`_problem` task
+        to a stateless worker of the optimizer's resident pool
+        (:meth:`_pool_payloads`); uncacheable queries (every query when
+        the cache is off) are groups of one.  The parent absorbs the
+        batch in input order, each query with its group's recipe, so the
         shared cache evolves exactly as in a serial run: the first
         absorb stores the entry, later ones hit it, and one whose entry
         was evicted inside the batch replays the recipe again.
@@ -1144,30 +1190,57 @@ class Optimizer:
             # worker payload does not normalize/fingerprint again
             offload.append((index, ctx, task))
         if tasks:
-            if workers is None:
-                workers = os.cpu_count() or 1
-            n_workers = max(1, min(workers, len(tasks)))
-            chunksize = max(1, len(tasks) // (n_workers * 4))
-            with _process_pool(self.config, n_workers) as pool:
-                payloads = pool.map(
-                    _process_worker_run, tasks, chunksize=chunksize
+            payloads = self._pool_payloads(
+                tasks,
+                workers if workers is not None
+                else _default_process_workers(),
+            )
+            # payloads arrive in task order, so absorbing overlaps with
+            # the workers still computing later tasks
+            received: "list[dict]" = []
+            for index, ctx, task in offload:
+                while len(received) <= task:
+                    received.append(next(payloads))
+                payload = received[task]
+                # the enumeration ran once: its statistics go to the
+                # first result absorbed from it
+                results[index] = self._absorb_recipe(
+                    ctx, payload["recipe"], payload.pop("stats", None)
                 )
-                # payloads arrive in task order, so absorbing overlaps
-                # with the workers still computing later tasks
-                received: "list[dict]" = []
-                for index, ctx, task in offload:
-                    while len(received) <= task:
-                        received.append(next(payloads))
-                    payload = received[task]
-                    # the enumeration ran once: its statistics go to
-                    # the first result absorbed from it
-                    results[index] = self._absorb_recipe(
-                        ctx, payload["recipe"], payload.pop("stats", None)
-                    )
         for index, query in enumerate(items):
             if isinstance(query, TreeNode):
                 results[index] = self._run_pipeline(query, None, None, shared)
         return results
+
+    def _pool_payloads(
+        self, tasks: list, workers: int
+    ) -> Iterator[dict]:
+        """Each task's worker payload, in task order.
+
+        The tasks run on the resident pool.  A ``BrokenProcessPool`` (a
+        worker died) drops that pool and re-ships the tasks not yet
+        received, once, on a fresh pool; a second break raises.
+        """
+        # local: importing it loads multiprocessing, which a program
+        # that never runs a process batch should not pay for
+        from concurrent.futures.process import BrokenProcessPool
+
+        chunksize = max(1, len(tasks) // (workers * 4))
+        received = 0
+        for attempt in range(2):
+            pool = self._resident_pool.get(self.config, workers)
+            try:
+                for payload in pool.map(
+                    _process_worker_run, tasks[received:],
+                    chunksize=chunksize,
+                ):
+                    received += 1
+                    yield payload
+                return
+            except BrokenProcessPool:
+                self._resident_pool.discard(pool)
+                if attempt:
+                    raise
 
     def _prepare(
         self,
@@ -1325,12 +1398,13 @@ def _process_pool(
 ) -> "ProcessPoolExecutor":
     """The worker pool every process-side computation runs in.
 
-    ``optimize_many(executor="process")`` builds one per batch and the
-    serving daemon one for its lifetime (and again after a worker
-    crash); both ship :func:`_problem` tasks to
-    :func:`_process_worker_run`.  The config is pickled here, in the
-    parent, so an unpicklable one fails once with a clear error rather
-    than in every worker.
+    Each :class:`Optimizer` keeps one for its process batches
+    (:class:`_ResidentPool`) and the serving daemon one for its
+    lifetime; both rebuild it after a worker crash, and both ship
+    :func:`_problem` tasks to :func:`_process_worker_run`.  The
+    workers copy the parent's registrations once, here, at build time.
+    The config is pickled here too, in the parent, so an unpicklable
+    one fails once with a clear error rather than in every worker.
     """
     import pickle
     from concurrent.futures import ProcessPoolExecutor
@@ -1348,6 +1422,66 @@ def _process_pool(
         initializer=_process_worker_init,
         initargs=(config_blob, snapshot_registrations()),
     )
+
+
+class _ResidentPool:
+    """One optimizer's process pool, kept between batches.
+
+    Built on first use and rebuilt only when the worker count or the
+    registry's registration tokens differ from what it was built with:
+    the workers resolve algorithm names in the registry they copied at
+    build time, so after a ``register_algorithm(..., replace=True)``
+    an old pool would run the predecessor's solver and the parent would
+    store its plans under the successor's key.  Holds no reference to
+    its optimizer, so the optimizer's finalizer can close it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pool: "Optional[ProcessPoolExecutor]" = None
+        self._built_with: Optional[tuple] = None
+
+    def get(
+        self, config: OptimizerConfig, workers: int
+    ) -> "ProcessPoolExecutor":
+        """The pool for ``workers`` workers and the current registry."""
+        signature = (workers, registration_tokens())
+        stale = None
+        with self._lock:
+            if self._pool is None or self._built_with != signature:
+                stale = self._pool
+                self._pool = _process_pool(config, workers)
+                self._built_with = signature
+            pool = self._pool
+        if stale is not None:
+            # queued work of another thread's batch still completes
+            stale.shutdown(wait=False)
+        return pool
+
+    def discard(self, pool: "ProcessPoolExecutor") -> None:
+        """Drop a broken ``pool``; the next :meth:`get` builds anew.
+
+        Only the current pool is dropped, so threads that saw the same
+        pool break cause one rebuild between them.
+        """
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False)
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its workers to exit."""
+        with self._lock:
+            pool = self._pool
+            self._pool = None
+        if pool is None:
+            return
+        try:
+            pool.shutdown(wait=True)
+        except RuntimeError:
+            # collected on the pool's own management thread, which
+            # cannot join itself; the shutdown still stops the workers
+            pass
 
 
 def _close_inherited_inet_sockets() -> None:

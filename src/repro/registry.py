@@ -136,6 +136,16 @@ def registration_token(name: str) -> int:
     return _REGISTRATION_TOKENS.get(name, 0)
 
 
+def registration_tokens() -> "tuple[tuple[str, int], ...]":
+    """``(name, registration_token(name))`` of every registered name.
+
+    Changes whenever any name is registered, replaced or removed: a
+    resident process pool compares it to decide whether its workers'
+    registry (copied when the pool was built) is still the parent's.
+    """
+    return tuple((name, registration_token(name)) for name in _REGISTRY)
+
+
 def _code_fingerprint(solver: Callable) -> Optional[str]:
     """Deterministic digest of a function's compiled body.
 

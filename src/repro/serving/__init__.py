@@ -1,7 +1,9 @@
 """The plan-serving daemon: a resident optimizer behind a socket.
 
-``optimize_many(executor="process")`` builds and tears down a worker
-pool per batch.  This package is the long-lived alternative:
+``optimize_many(executor="process")`` keeps one worker pool per
+:class:`~repro.optimizer.Optimizer`, serving that optimizer's caller.
+This package shares one cache and one pool across clients and
+processes:
 
 * :class:`~repro.serving.server.PlanServer` — asyncio front end plus a
   **persistent** ``ProcessPoolExecutor`` of the batch backend's

@@ -6,9 +6,9 @@ One :class:`PlanServer` owns
   from the :class:`~repro.cache.store.PlanStore` at
   ``OptimizerConfig.cache_path`` when configured, saved back on
   shutdown and on the ``save`` op),
-* a **persistent** ``ProcessPoolExecutor`` reused across requests —
-  the whole point of the daemon: ``optimize_many(executor="process")``
-  pays pool spawn per batch, a resident pool pays it once.  Its
+* a **persistent** ``ProcessPoolExecutor`` reused across requests
+  and clients — where ``optimize_many(executor="process")`` keeps one
+  pool per optimizer, the daemon's one pool serves every client.  Its
   workers are the batch backend's stateless ones
   (:func:`repro.optimizer._process_pool`): ``compute(problem) ->
   recipe``, no cache, nothing to keep warm,

@@ -411,3 +411,214 @@ class TestPersistenceIntegration:
             batch, executor="process", parallel=2
         )
         assert all(event == "hit" for event in events_of(results))
+
+
+def _solve_via_dphyp(graph, builder, stats):
+    """Module-level stand-in successor that plans like ``dphyp``."""
+    return get_algorithm("dphyp").solver(graph, builder, stats)
+
+
+def _solve_by_exiting(graph, builder, stats):
+    """Module-level solver that kills the worker running it."""
+    os._exit(1)
+
+
+@pytest.fixture
+def pool_builds(monkeypatch):
+    """Every ``ProcessPoolExecutor`` constructed while the test runs."""
+    import concurrent.futures
+
+    builds = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class CountingPool(real):
+        def __init__(self, *args, **kwargs):
+            builds.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", CountingPool
+    )
+    return builds
+
+
+def _miss_batches(count):
+    """``count`` batches whose queries miss a cache that saw the earlier."""
+    return [
+        [
+            generators.chain(5, seed=10 * b + 1),
+            generators.cycle(5, seed=10 * b + 2),
+            generators.star(5, seed=10 * b + 3),
+        ]
+        for b in range(count)
+    ]
+
+
+def _child_pids():
+    import multiprocessing
+
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class TestResidentPool:
+    def test_miss_batches_share_one_pool(self, pool_builds):
+        thread = Optimizer(OptimizerConfig(cache="on"))
+        with Optimizer(OptimizerConfig(cache="on")) as process:
+            for batch in _miss_batches(3):
+                expected = thread.optimize_many(batch)
+                results = process.optimize_many(
+                    batch, executor="process", parallel=2
+                )
+                assert_same_results(expected, results)
+                assert events_of(results) == events_of(expected)
+        assert len(pool_builds) == 1
+
+    def test_a_changed_worker_count_rebuilds(self, pool_builds):
+        first, second = _miss_batches(2)
+        with Optimizer(OptimizerConfig(cache="on")) as optimizer:
+            optimizer.optimize_many(first, executor="process", parallel=2)
+            optimizer.optimize_many(second, executor="process", parallel=1)
+        assert len(pool_builds) == 2
+
+    def test_a_replaced_registration_reaches_the_workers(self, pool_builds):
+        """After ``replace=True`` the next batch runs the successor:
+        workers built before it would run the predecessor, and the
+        parent would store those plans under the successor's key."""
+        from repro.registry import register_algorithm
+
+        name = "swap-test"
+        batch = [generators.star(6, seed=3), generators.cycle(6, seed=4)]
+        try:
+            register_algorithm(AlgorithmInfo(
+                name=name, solver=_solve_leftdeep, exact=False,
+            ))
+            config = OptimizerConfig(algorithm=name, cache="on")
+            with Optimizer(config) as process:
+                first = process.optimize_many(
+                    batch, executor="process", parallel=2
+                )
+                assert_same_results(
+                    Optimizer(config).optimize_many(batch), first
+                )
+                register_algorithm(AlgorithmInfo(
+                    name=name, solver=_solve_via_dphyp, exact=False,
+                ), replace=True)
+                expected = Optimizer(config).optimize_many(batch)
+                second = process.optimize_many(
+                    batch, executor="process", parallel=2
+                )
+            assert [r.cost for r in first] != [r.cost for r in expected]
+            assert_same_results(expected, second)
+            assert events_of(second) == ["miss", "miss"]
+            assert len(pool_builds) == 2
+        finally:
+            unregister_algorithm(name)
+
+    def test_a_worker_killed_while_idle_costs_one_rebuild(self, pool_builds):
+        from concurrent.futures.process import BrokenProcessPool
+
+        first, second = _miss_batches(2)
+        thread = Optimizer(OptimizerConfig(cache="on"))
+        thread.optimize_many(first)
+        with Optimizer(OptimizerConfig(cache="on")) as process:
+            process.optimize_many(first, executor="process", parallel=2)
+            with pytest.raises(BrokenProcessPool):
+                pool_builds[0].submit(os._exit, 1).result()
+            results = process.optimize_many(
+                second, executor="process", parallel=2
+            )
+        assert_same_results(thread.optimize_many(second), results)
+        assert len(pool_builds) == 2
+
+    def test_a_worker_that_always_dies_raises_after_one_retry(
+        self, pool_builds, shipped_tasks
+    ):
+        from concurrent.futures.process import BrokenProcessPool
+        from repro.registry import register_algorithm
+
+        name = "exit-test"
+        try:
+            register_algorithm(AlgorithmInfo(
+                name=name, solver=_solve_by_exiting, exact=False,
+            ))
+            batch = _miss_batches(1)[0]
+            with Optimizer(OptimizerConfig(algorithm=name)) as optimizer:
+                with pytest.raises(BrokenProcessPool):
+                    optimizer.optimize_many(
+                        batch, executor="process", parallel=2
+                    )
+            assert len(pool_builds) == 2
+            # the retry re-ships every task, none having been received
+            assert [len(tasks) for tasks in shipped_tasks] == [3, 3]
+        finally:
+            unregister_algorithm(name)
+
+    @pytest.mark.parametrize("ending", ["close", "with", "collect"])
+    def test_every_ending_stops_the_workers(self, ending):
+        before = _child_pids()
+        optimizer = Optimizer(OptimizerConfig(cache="on"))
+        if ending == "with":
+            with optimizer:
+                optimizer.optimize_many(
+                    _miss_batches(1)[0], executor="process", parallel=2
+                )
+                workers = _child_pids() - before
+        else:
+            optimizer.optimize_many(
+                _miss_batches(1)[0], executor="process", parallel=2
+            )
+            workers = _child_pids() - before
+            if ending == "close":
+                optimizer.close()
+                optimizer.close()  # idempotent
+            else:
+                del optimizer
+        assert len(workers) == 2
+        assert not workers & _child_pids()
+
+    def test_threads_sharing_an_optimizer_build_one_pool(self, pool_builds):
+        """More threads than cores, with a short switch interval, race
+        to build the pool: one is built and every batch is right."""
+        import sys
+        import threading
+
+        batches = _miss_batches(4)
+        barrier = threading.Barrier(len(batches))
+        results = {}
+        with Optimizer(OptimizerConfig(cache="on")) as shared:
+
+            def run(index):
+                barrier.wait()
+                results[index] = shared.optimize_many(
+                    batches[index], executor="process", parallel=2
+                )
+
+            threads = [
+                threading.Thread(target=run, args=(i,))
+                for i in range(len(batches))
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert len(pool_builds) == 1
+        for index, batch in enumerate(batches):
+            expected = Optimizer(OptimizerConfig(cache="on")).optimize_many(
+                batch
+            )
+            assert_same_results(expected, results[index])
+
+    @pytest.mark.parametrize("parallel", [0, -1])
+    def test_a_worker_count_below_one_is_rejected(self, parallel):
+        batch = _miss_batches(1)[0]
+        for executor in ("thread", "process"):
+            with pytest.raises(ValueError, match="parallel_workers"):
+                Optimizer().optimize_many(
+                    batch, parallel=parallel, executor=executor
+                )
